@@ -13,12 +13,8 @@ the four; greedy is faster than both layer variants.
 
 from __future__ import annotations
 
-import os
-import time
-
 import pytest
 
-from repro.runtime import ExecutionPolicy
 from repro.setcover import (
     greedy_cover,
     layer_cover,
@@ -30,13 +26,10 @@ from conftest import (
     bench_sizes,
     clientbuy_problem,
     quick_mode,
-    record_bench_json,
     record_point,
-    trace_mode,
 )
 
 QUICK = quick_mode()
-TRACE = trace_mode()
 SIZES = bench_sizes([250, 500, 1000, 2000], quick=[250, 500])
 LARGE_SIZES = bench_sizes([4000, 8000], quick=[1000])   # modified variants only
 TABLE = "Figure 3: solver runtime (seconds, single run)"
@@ -117,111 +110,3 @@ def test_fig3_shape_assertions(benchmark):
     # paper's C++ implementation - plain layer outruns plain greedy here.
     # The modified-greedy-is-fastest headline is asserted statistically by
     # the pytest-benchmark groups above rather than on one sample.
-
-
-# -- parallel runtime: serial vs process pool, end to end ---------------------
-
-PARALLEL_CLIENTS = bench_sizes(4_000, quick=2_000)   # total tuples ~= 3x clients
-PARALLEL_WORKERS = 4
-
-
-def test_parallel_engine_serial_vs_process(benchmark):
-    """End-to-end repair wall clock: serial pipeline vs process pool.
-
-    A multi-component Client/Buy instance (every inconsistent client is
-    its own connected component) is repaired twice through
-    ``repair_database``; the per-stage timings from
-    ``RepairResult.elapsed_seconds`` and the end-to-end speedup land in
-    ``BENCH_parallel.json``.  Correctness is asserted unconditionally:
-    both paths must produce the identical repair.  The speedup itself is
-    only asserted when ``REPRO_BENCH_ENFORCE_SPEEDUP`` is set, because it
-    is a property of the runner (a single-core container cannot speed
-    anything up) - the JSON artifact is what tracks the trajectory.
-    """
-    from repro import repair_database
-    from repro.workloads import client_buy_workload
-
-    workload = client_buy_workload(
-        PARALLEL_CLIENTS, inconsistency_ratio=0.30, seed=0
-    )
-    n_tuples = len(workload.instance)
-    assert n_tuples >= 5_000
-
-    def run(parallel):
-        started = time.perf_counter()
-        result = repair_database(
-            workload.instance,
-            workload.constraints,
-            algorithm="modified-greedy",
-            parallel=parallel,
-            trace=TRACE,
-        )
-        return result, time.perf_counter() - started
-
-    def span_breakdown(result):
-        """Per-span wall totals from the recorded trace (trace mode only)."""
-        if result.trace is None:
-            return None
-        from repro.obs import summarize_trace
-
-        return [
-            {
-                "span": row["name"],
-                "count": row["count"],
-                "wall_seconds": row["wall_seconds"],
-                "share": row["share"],
-            }
-            for row in summarize_trace(result.trace)
-        ]
-
-    # 'serial' here is the decomposed pipeline on one worker - the exact
-    # computation the pool distributes, so the comparison isolates the
-    # runtime and the results must match byte for byte.
-    serial_result, serial_seconds = run("serial")
-    parallel_result, parallel_seconds = benchmark.pedantic(
-        lambda: run(ExecutionPolicy(backend="process", max_workers=PARALLEL_WORKERS)),
-        rounds=1,
-        iterations=1,
-    )
-
-    assert parallel_result.changes == serial_result.changes
-    assert parallel_result.cover_weight == serial_result.cover_weight
-    assert parallel_result.repaired == serial_result.repaired
-
-    speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0
-    record_bench_json(
-        "parallel",
-        {
-            "workload": {
-                "name": "clientbuy",
-                "n_clients": PARALLEL_CLIENTS,
-                "n_tuples": n_tuples,
-                "quick": QUICK,
-            },
-            "workers": PARALLEL_WORKERS,
-            "serial": {
-                "total_seconds": serial_seconds,
-                "stages": dict(serial_result.elapsed_seconds),
-                **(
-                    {"spans": span_breakdown(serial_result)} if TRACE else {}
-                ),
-            },
-            "process": {
-                "total_seconds": parallel_seconds,
-                "stages": dict(parallel_result.elapsed_seconds),
-                "solver_stats": {
-                    k: v
-                    for k, v in parallel_result.solver_stats.items()
-                    if isinstance(v, (int, float, str))
-                },
-                **(
-                    {"spans": span_breakdown(parallel_result)} if TRACE else {}
-                ),
-            },
-            "speedup": speedup,
-            "traced": TRACE,
-        },
-    )
-    benchmark.extra_info["speedup"] = speedup
-    if os.environ.get("REPRO_BENCH_ENFORCE_SPEEDUP"):
-        assert speedup >= 1.5, f"expected >= 1.5x, got {speedup:.2f}x"

@@ -85,19 +85,6 @@ def bench_sizes(full, quick):
     return quick if quick_mode() else full
 
 
-def trace_mode() -> bool:
-    """True when ``REPRO_BENCH_TRACE`` asks benchmarks to record traces.
-
-    Tracing benchmarks makes the ``BENCH_*.json`` artifacts carry span
-    breakdowns (which stage the wall clock went to) at the cost of the
-    observability overhead inside the timed regions, so it is opt-in -
-    the default numbers stay comparable across runs.  (An env var rather
-    than a pytest option: pytest's own debugging ``--trace`` flag already
-    takes that name.)
-    """
-    return os.environ.get("REPRO_BENCH_TRACE", "").lower() not in ("", "0", "false")
-
-
 def clientbuy_problem(
     n_clients: int, seed: int = 0, tight_values: bool = False
 ) -> RepairProblem:

@@ -62,8 +62,6 @@ def cardinality_repair(
     table_weights: Mapping[str, float] | None = None,
     metric: str | DistanceMetric = CITY_DISTANCE,
     verify: bool = True,
-    parallel=None,
-    max_workers: int | None = None,
     engine: str = "auto",
     solver_engine: str = "auto",
     trace: "bool | Tracer" = False,
@@ -84,11 +82,10 @@ def cardinality_repair(
     table_weights:
         Per-relation deletion weights ``α_{δ_R}`` (default 1.0): deletions
         from lighter tables are preferred.
-    parallel, max_workers, engine, solver_engine:
+    engine, solver_engine:
         Forwarded to :func:`repro.repair.engine.repair_database` - the
-        transformed instance ``D#`` decomposes, fans out, and picks its
-        detection and solver engines exactly like a direct
-        attribute-update repair.
+        transformed instance ``D#`` picks its detection and solver
+        engines exactly like a direct attribute-update repair.
     trace:
         ``True`` records the whole run - a ``cardinality-repair`` root
         span with ``transform`` and ``project`` stages around the nested
@@ -121,8 +118,6 @@ def cardinality_repair(
             # IC# is local by construction (all δ comparisons are '>', joins
             # bind hard attributes in delete mode); mixed mode keeps the check.
             check_locality=(mode == "mixed"),
-            parallel=parallel,
-            max_workers=max_workers,
             engine=engine,
             solver_engine=solver_engine,
             # Pass the tracer object (not True): the inner repair nests

@@ -242,7 +242,11 @@ class ConfigError(ReproError):
 
 
 class RuntimeConfigError(ConfigError):
-    """Invalid parallel-execution policy (unknown backend, bad worker count)."""
+    """Invalid runtime setting of a streaming repairer or repair service.
+
+    Raised for bad queue bounds, commit intervals, worker or retry counts,
+    and for submitting to a closed job queue.
+    """
 
 
 class BackendError(ReproError):

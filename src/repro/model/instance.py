@@ -188,10 +188,9 @@ class DatabaseInstance:
         """Pickle without the pushdown backend binding.
 
         The binding (:mod:`repro.violations.pushdown`) holds a weak
-        reference to a live database connection; neither survives a trip
-        into a process-pool worker, so the unpickled instance is simply
-        not backend-resident there and detection falls back to the
-        in-memory engines.
+        reference to a live database connection; neither survives pickling,
+        so the unpickled instance is simply not backend-resident and
+        detection falls back to the in-memory engines.
         """
         state = self.__dict__.copy()
         state.pop("_pushdown_binding", None)

@@ -167,7 +167,7 @@ class TupleRef:
 
     def __reduce__(self) -> tuple:
         # Rebuild from the public fields: the cache slots hold a process-local
-        # sentinel that must not travel through pickle (worker payloads).
+        # sentinel that must not travel through pickle.
         return (TupleRef, (self.relation_name, self.key_values))
 
     def __hash__(self) -> int:

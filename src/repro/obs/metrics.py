@@ -11,10 +11,10 @@ The registry gives the pipeline named, tag-labelled instruments:
 
 Each :class:`~repro.obs.trace.Tracer` owns a private
 :class:`MetricsRegistry`, so concurrent or consecutive traced runs never
-share state (registry isolation is part of the test contract).  Process
-pool workers snapshot their local registry and the parent merges it with
-:meth:`MetricsRegistry.merge_snapshot` - counters add, gauges keep the
-maximum (every gauge in the pipeline is a high-watermark).
+share state (registry isolation is part of the test contract).
+:meth:`MetricsRegistry.merge_snapshot` folds one registry's snapshot
+into another - counters add, gauges keep the maximum (every gauge in
+the pipeline is a high-watermark).
 
 The disabled path uses the null instruments at the bottom of the module:
 :data:`NULL_METRICS` hands out a single shared no-op instrument, so
@@ -137,7 +137,7 @@ class MetricsRegistry:
         }
 
     def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a worker's snapshot in: counters add, gauges keep the max."""
+        """Fold another registry's snapshot in: counters add, gauges max."""
         for entry in snapshot.get("counters", ()):
             self.counter(entry["name"], **entry.get("labels", {})).inc(
                 entry.get("value", 0)

@@ -1,4 +1,4 @@
-"""Tracer: span lifecycle, thread fan-in, process-worker merging.
+"""Tracer: span lifecycle and per-thread activation.
 
 One :class:`Tracer` observes one traced run (a ``repair_database`` call,
 an :class:`~repro.repair.incremental.IncrementalRepairer` lifetime, a
@@ -18,31 +18,16 @@ tracer's ``span()`` returns one shared no-op context manager and its
 attribute lookups per instrumented site - no spans are ever created
 (the overhead-regression suite in ``tests/obs`` pins this down).
 
-Thread fan-in
+Thread activation
     Activation is **thread-local first**: the tracer a thread activated
     is what its own ``current_tracer()`` calls see, so two concurrent
     traced runs on different threads (the job runtime of
     :mod:`repro.service` runs many) never interleave spans into each
     other's traces.  Threads that never activated anything fall back to
     the most recent activation process-wide, which keeps plain
-    single-run tracing working for ad-hoc helper threads.  The
-    :class:`~repro.runtime.executor.Executor` explicitly re-activates
-    the dispatching thread's tracer inside its thread-pool workers, so
-    fan-out always lands in the right trace.  A span opened on a pool
-    thread whose stack is empty attaches to the tracer's *anchor* - the
-    innermost open span that was started with ``anchor=True`` (the
-    engine marks its ``detect`` and ``solve`` stage spans that way) - so
-    thread-pool workers' spans nest under the stage that dispatched
-    them.
-
-Process fan-in
-    Process-pool workers cannot see the parent's tracer.  The runtime
-    ships a ``trace`` flag with each work batch; the worker runs under a
-    fresh local tracer, exports it with :meth:`Tracer.export_remote`
-    (span dicts + metric snapshot, all picklable), and the parent folds
-    it back in with :meth:`Tracer.attach_remote` - spans are clamped
-    into the receiving stage span when it closes, metrics merge
-    (counters add, gauges max).
+    single-run tracing working for ad-hoc helper threads.  Each thread
+    keeps its own span stack; a span opened on a thread whose stack is
+    empty becomes a root of the trace.
 """
 
 from __future__ import annotations
@@ -66,21 +51,14 @@ __all__ = [
 class _OpenSpan:
     """Context manager driving one span's lifecycle on the owning tracer."""
 
-    __slots__ = ("_tracer", "_span", "_anchor", "_prev_anchor")
+    __slots__ = ("_tracer", "_span")
 
-    def __init__(self, tracer: "Tracer", span: Span, anchor: bool) -> None:
+    def __init__(self, tracer: "Tracer", span: Span) -> None:
         self._tracer = tracer
         self._span = span
-        self._anchor = anchor
-        self._prev_anchor: Span | None = None
 
     def __enter__(self) -> Span:
-        tracer = self._tracer
-        stack = tracer._stack()
-        stack.append(self._span)
-        if self._anchor:
-            self._prev_anchor = tracer._anchor
-            tracer._anchor = self._span
+        self._tracer._stack().append(self._span)
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -89,14 +67,12 @@ class _OpenSpan:
         stack = tracer._stack()
         if stack and stack[-1] is span:
             stack.pop()
-        if self._anchor:
-            tracer._anchor = self._prev_anchor
         if exc_type is not None:
             span.tag(error=exc_type.__name__)
         span.close()
-        parent = stack[-1] if stack else tracer._anchor
+        parent = stack[-1] if stack else None
         with tracer._lock:
-            if parent is not None and parent is not span:
+            if parent is not None:
                 parent.children.append(span)
             else:
                 tracer._roots.append(span)
@@ -157,7 +133,6 @@ class Tracer:
         self._roots: list[Span] = []
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._anchor: Span | None = None
 
     # -- span lifecycle -----------------------------------------------------
 
@@ -167,62 +142,20 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def span(
-        self, name: str, category: str = "", anchor: bool = False, **tags: Any
-    ) -> _OpenSpan:
-        """Open a span; use as ``with tracer.span(...) as span:``.
-
-        ``anchor=True`` additionally makes the span the attachment point
-        for spans opened on foreign threads while it is open (see the
-        module docstring).
-        """
-        return _OpenSpan(self, Span(name, category, tags), anchor)
+    def span(self, name: str, category: str = "", **tags: Any) -> _OpenSpan:
+        """Open a span; use as ``with tracer.span(...) as span:``."""
+        return _OpenSpan(self, Span(name, category, tags))
 
     def current(self) -> Span | None:
-        """The innermost open span on the calling thread (or the anchor)."""
+        """The innermost open span on the calling thread."""
         stack = self._stack()
-        return stack[-1] if stack else self._anchor
+        return stack[-1] if stack else None
 
     # -- activation ---------------------------------------------------------
 
     def activate(self) -> _Activation:
         """Install as the process-global tracer for the ``with`` body."""
         return _Activation(self)
-
-    # -- process-worker fan-in ----------------------------------------------
-
-    def export_remote(self) -> dict[str, Any]:
-        """Picklable payload of everything this (worker) tracer recorded."""
-        with self._lock:
-            roots = list(self._roots)
-        return {
-            "pid": os.getpid(),
-            "spans": [root.to_dict() for root in roots],
-            "metrics": self.metrics.snapshot(),
-        }
-
-    def attach_remote(
-        self, payload: "Mapping[str, Any] | None", parent: Span | None = None
-    ) -> None:
-        """Fold a worker's :meth:`export_remote` payload into this tracer.
-
-        Spans attach under ``parent`` (default: the calling thread's
-        current span / anchor) and are clamped into its window when it
-        closes; metrics merge (counters add, gauges keep the max).
-        """
-        if not payload:
-            return
-        spans = [Span.from_dict(d) for d in payload.get("spans", ())]
-        if spans:
-            target = parent if parent is not None else self.current()
-            with self._lock:
-                if target is not None:
-                    target.children.extend(spans)
-                else:
-                    self._roots.extend(spans)
-        metrics = payload.get("metrics")
-        if metrics:
-            self.metrics.merge_snapshot(metrics)
 
     # -- finishing ----------------------------------------------------------
 
@@ -281,9 +214,7 @@ class NullTracer:
 
     __slots__ = ()
 
-    def span(
-        self, name: str, category: str = "", anchor: bool = False, **tags: Any
-    ) -> _NullSpanContext:
+    def span(self, name: str, category: str = "", **tags: Any) -> _NullSpanContext:
         return _NULL_SPAN
 
     def current(self) -> None:
@@ -291,12 +222,6 @@ class NullTracer:
 
     def activate(self) -> _Activation:
         return _Activation(self)
-
-    def export_remote(self) -> dict[str, Any]:
-        return {"pid": os.getpid(), "spans": [], "metrics": NULL_METRICS.snapshot()}
-
-    def attach_remote(self, payload, parent=None) -> None:
-        pass
 
     def finish(self) -> Trace:
         return Trace(roots=(), metrics=NULL_METRICS.snapshot())
@@ -316,8 +241,7 @@ _ACTIVE_LOCAL = threading.local()
 def current_tracer() -> "Tracer | NullTracer":
     """The calling thread's active tracer (:data:`NULL_TRACER` by default).
 
-    A thread that activated a tracer (directly, or through the
-    executor's worker propagation) sees exactly that tracer; a thread
+    A thread that activated a tracer sees exactly that tracer; a thread
     with no activation of its own sees the most recent activation
     process-wide, or the null tracer when nothing is active.
     """

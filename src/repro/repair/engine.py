@@ -4,22 +4,15 @@
 MWSCP construction → approximate set cover → repair construction →
 (optional) verification that the result satisfies the constraints.
 
-The detection and solving stages optionally fan out over the
-:mod:`repro.runtime` executor: detection parallelizes per constraint,
-solving per connected component of the MWSCP instance (see
-:mod:`repro.setcover.decompose`).  Both stages are shared-nothing, so
-every backend — serial, thread, process — produces the identical repair.
-
 With ``trace=True`` the run is recorded by the :mod:`repro.obs` layer:
 one ``repair`` root span with a stage span per Figure-1 box (``detect``,
 ``reduce``, ``solve``, ``apply``, ``verify``), per-constraint detection
-spans and per-solver spans nested inside — including spans recorded by
-thread- and process-pool workers, which the runtime merges back into the
-stage that dispatched them.  ``RepairResult.elapsed_seconds`` then
-becomes a thin view over the stage spans (same keys as the untraced
-dict, so no caller changes), and ``RepairResult.trace`` carries the full
-:class:`~repro.obs.spans.Trace`.  Tracing never alters the computation:
-traced and untraced runs produce byte-identical repairs.
+spans and per-solver spans nested inside.
+``RepairResult.elapsed_seconds`` then becomes a thin view over the stage
+spans (same keys as the untraced dict, so no caller changes), and
+``RepairResult.trace`` carries the full :class:`~repro.obs.spans.Trace`.
+Tracing never alters the computation: traced and untraced runs produce
+byte-identical repairs.
 """
 
 from __future__ import annotations
@@ -38,16 +31,9 @@ from repro.fixes.distance import CITY_DISTANCE, DistanceMetric, get_metric
 from repro.model.instance import DatabaseInstance
 from repro.obs import Tracer, as_tracer, normalize_solver_stats
 from repro.repair.apply import apply_cover
-from repro.repair.builder import RepairProblem, build_repair_problem
+from repro.repair.builder import build_repair_problem
 from repro.repair.result import RepairResult
-from repro.runtime.executor import ExecutionPolicy, Executor
-from repro.setcover.decompose import solve_by_components
-from repro.setcover.solvers import (
-    DEFAULT_SOLVER,
-    component_solver,
-    get_solver,
-    resolve_solver_engine,
-)
+from repro.setcover.solvers import DEFAULT_SOLVER, get_solver, resolve_solver_engine
 from repro.violations.detector import ViolationSet, find_all_violations, is_consistent
 from repro.violations.kernels import resolve_engine
 
@@ -82,8 +68,6 @@ def repair_database(
     check_locality: bool = True,
     violations: Sequence[ViolationSet] | None = None,
     simplify: bool = False,
-    parallel: "bool | str | ExecutionPolicy | None" = None,
-    max_workers: int | None = None,
     engine: str = "auto",
     solver_engine: str = "auto",
     preflight: bool = False,
@@ -118,16 +102,6 @@ def repair_database(
         :mod:`repro.constraints.simplify`.  Incompatible with a
         precomputed ``violations`` list (whose constraint objects would
         not match the simplified set).
-    parallel:
-        ``None``/``False`` (default) keeps the classic serial pipeline.
-        ``True`` picks a backend automatically; a backend name
-        (``serial``/``thread``/``process``) or an
-        :class:`~repro.runtime.ExecutionPolicy` selects one explicitly.
-        Any non-serial request also switches solving to the
-        component-decomposed path, so the result is identical for every
-        backend and worker count (see DESIGN.md, "Parallel runtime").
-    max_workers:
-        Worker bound for the parallel stages (default: all cores).
     engine:
         Violation-detection engine: ``auto`` (default; SQL pushdown when
         the instance is backend-resident, else the columnar kernel when
@@ -220,12 +194,6 @@ def repair_database(
         constraints = simplify_constraints(constraints)
     metric = get_metric(metric)
     solver_engine = resolve_solver_engine(solver_engine)
-    policy = ExecutionPolicy.resolve(parallel, max_workers)
-    # Any explicit parallel request (even one that resolves to a single
-    # worker) routes solving through the component decomposition, so the
-    # cover is a function of the request, not of the machine it ran on.
-    decomposed = policy.backend != "serial"
-    executor = Executor(policy)
     tracer = as_tracer(trace)
     # A trace created here is finished here; a caller-provided tracer is
     # left open so several pipeline calls can share one trace.
@@ -240,45 +208,31 @@ def repair_database(
                 algorithm=str(algorithm),
                 engine=resolve_engine(engine, instance),
                 solver_engine=solver_engine,
-                backend=executor.backend if decomposed else "serial",
                 tuples=len(instance),
                 constraints=len(constraints),
             )
         )
 
         started = time.perf_counter()
-        detect_workers = 1
-        with tracer.span("detect", category="stage", anchor=True) as detect_span:
+        with tracer.span("detect", category="stage") as detect_span:
             if violations is None:
-                if executor.is_parallel and len(constraints) > 1:
-                    detect_workers = min(executor.workers, len(constraints))
-                detect_executor = executor if detect_workers > 1 else None
                 if plan is not None and engine == "auto":
                     from repro.plan.runtime import planned_find_all_violations
 
                     violations = planned_find_all_violations(
-                        instance,
-                        constraints,
-                        plan,
-                        executor=detect_executor,
+                        instance, constraints, plan
                     )
                 elif plan is not None:
                     # Explicit engine request wins over the planned
                     # chains; dead constraints stay eliminated.
                     violations = find_all_violations(
-                        instance,
-                        plan.executed_constraints(constraints),
-                        executor=detect_executor,
-                        engine=engine,
+                        instance, plan.executed_constraints(constraints), engine=engine
                     )
                 else:
                     violations = find_all_violations(
-                        instance,
-                        constraints,
-                        executor=detect_executor,
-                        engine=engine,
+                        instance, constraints, engine=engine
                     )
-            detect_span.tag(violations=len(violations), workers=detect_workers)
+            detect_span.tag(violations=len(violations))
         if tracer.enabled:
             from repro.violations.degree import degree_of_database
 
@@ -331,34 +285,14 @@ def repair_database(
             )
 
         logger.info(
-            "repair: %d violations, %d candidate fixes, solving with %s%s",
+            "repair: %d violations, %d candidate fixes, solving with %s",
             len(problem.violations),
             len(problem.setcover.sets),
             algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "?"),
-            f" [{executor.backend} x{executor.workers}]" if decomposed else "",
         )
-        solve_workers = 1
-        with tracer.span("solve", category="stage", anchor=True) as solve_span:
-            if decomposed:
-                solver, max_elements, fallback = component_solver(
-                    algorithm, solver_engine
-                )
-                if executor.is_parallel:
-                    solve_workers = executor.workers
-                cover = solve_by_components(
-                    problem.setcover,
-                    solver,
-                    max_component_elements=max_elements,
-                    fallback=fallback,
-                    executor=executor,
-                )
-            else:
-                cover = get_solver(algorithm, solver_engine)(problem.setcover)
-            solve_span.tag(
-                weight=cover.weight,
-                selected=len(cover.selected),
-                workers=solve_workers,
-            )
+        with tracer.span("solve", category="stage") as solve_span:
+            cover = get_solver(algorithm, solver_engine)(problem.setcover)
+            solve_span.tag(weight=cover.weight, selected=len(cover.selected))
         solved = time.perf_counter()
         logger.info(
             "repair: cover weight %g with %d sets in %.3fs",
@@ -407,11 +341,6 @@ def repair_database(
         # flat request served by an object-only solver like lp-rounding)
         # ran the object code path.
         solver_stats.setdefault("solver_engine", "object")
-        if decomposed:
-            solver_stats["runtime_backend"] = executor.backend
-            solver_stats["runtime_workers"] = executor.workers
-            solver_stats["detect_workers"] = detect_workers
-            solver_stats["solve_workers"] = solve_workers
         elapsed = {
             "detect": detected - started,
             "build": built - detected,
@@ -446,32 +375,3 @@ def _finish_after(ctx: ExitStack, tracer: Tracer):
     """Close all open spans of ``ctx`` and snapshot the finished trace."""
     ctx.close()
     return tracer.finish()
-
-
-def repair_problem_cover(
-    problem: RepairProblem,
-    algorithm: str = DEFAULT_SOLVER,
-    parallel: "bool | str | ExecutionPolicy | None" = None,
-    max_workers: int | None = None,
-    solver_engine: str = "auto",
-):
-    """Solve a prebuilt repair problem; exposed for the benchmark harness.
-
-    The Figure-3 benchmark times *only* the MWSCP solver component (as the
-    paper does), so it builds the problem once and calls this repeatedly.
-    ``parallel``/``max_workers`` select the component-decomposed parallel
-    path, mirroring :func:`repair_database`; ``solver_engine`` selects the
-    flat or object solver family.
-    """
-    solver_engine = resolve_solver_engine(solver_engine)
-    policy = ExecutionPolicy.resolve(parallel, max_workers)
-    if policy.backend == "serial":
-        return get_solver(algorithm, solver_engine)(problem.setcover)
-    solver, max_elements, fallback = component_solver(algorithm, solver_engine)
-    return solve_by_components(
-        problem.setcover,
-        solver,
-        max_component_elements=max_elements,
-        fallback=fallback,
-        executor=Executor(policy),
-    )

@@ -25,7 +25,6 @@ Usage::
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -33,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.locality import check_local_set
-from repro.exceptions import RepairError, RuntimeConfigError
+from repro.exceptions import RepairError
 from repro.fixes.distance import CITY_DISTANCE, DistanceMetric, get_metric
 from repro.model.columnar import transfer_store
 from repro.model.instance import DatabaseInstance
@@ -42,14 +41,7 @@ from repro.obs import Tracer, as_tracer, normalize_solver_stats
 from repro.repair.builder import build_repair_problem
 from repro.repair.apply import apply_cover
 from repro.repair.result import RepairResult
-from repro.runtime.executor import ExecutionPolicy, Executor
-from repro.setcover.decompose import solve_by_components
-from repro.setcover.solvers import (
-    DEFAULT_SOLVER,
-    component_solver,
-    get_solver,
-    resolve_solver_engine,
-)
+from repro.setcover.solvers import DEFAULT_SOLVER, get_solver, resolve_solver_engine
 from repro.violations.detector import (
     find_all_violations,
     find_violations_involving,
@@ -73,12 +65,9 @@ class IncrementalRepairer:
         algorithm: str = DEFAULT_SOLVER,
         metric: str | DistanceMetric = CITY_DISTANCE,
         repair_initial: bool = True,
-        parallel: "bool | str | ExecutionPolicy | None" = None,
-        max_workers: int | None = None,
         engine: str = "auto",
         solver_engine: str = "auto",
         trace: "bool | Tracer" = False,
-        shards: int | None = None,
         plan: "CompiledProgram | None" = None,
     ) -> None:
         # One tracer observes the repairer's whole lifetime: every commit
@@ -119,28 +108,6 @@ class IncrementalRepairer:
         resolve_engine(engine)
         self._engine = "auto" if engine == "pushdown" else engine
         self._solver_engine = resolve_solver_engine(solver_engine)
-        # Anchored detection is dominated by hash lookups against the
-        # shared join-index cache, which a process pool cannot see - so
-        # ``parallel=True`` resolves to threads here, keeping the cache
-        # hot while still letting sqlite-bound or multi-constraint
-        # batches overlap.  The solve stage reuses the same policy.
-        if shards is not None and (
-            isinstance(shards, bool) or not isinstance(shards, int) or shards < 1
-        ):
-            raise RuntimeConfigError(
-                f"shards must be a positive integer or None, got {shards!r}"
-            )
-        self._shards = shards
-        policy = ExecutionPolicy.resolve(parallel, max_workers)
-        if policy.backend == "auto":
-            policy = replace(policy, backend="thread")
-        if shards is not None and shards > 1 and policy.backend == "serial":
-            # Sharded anchored detection dispatches through the executor;
-            # asking for shards without a backend means "threads", the
-            # backend that can actually share the warm join-index cache.
-            policy = replace(policy, backend="thread", max_workers=max_workers or shards)
-        self._policy = policy
-        self._executor = Executor(policy)
         if self._plan is None or not self._plan.solver.locality_ok:
             # With a plan, locality was proven at compile time; without
             # one (or when the plan could not prove it) the raising
@@ -159,9 +126,7 @@ class IncrementalRepairer:
             with ExitStack() as ctx:
                 ctx.enter_context(self._tracer.activate())
                 ctx.enter_context(
-                    self._tracer.span(
-                        "initial-repair", category="pipeline", anchor=True
-                    )
+                    self._tracer.span("initial-repair", category="pipeline")
                 )
                 problem = build_repair_problem(
                     self._instance, self._active_constraints, metric=self._metric,
@@ -248,20 +213,15 @@ class IncrementalRepairer:
                     category="pipeline",
                     round=self._rounds,
                     staged=len(self._staged),
-                    **({"shards": self._shards} if self._shards else {}),
                 )
             )
-            with self._tracer.span(
-                "detect", category="stage", anchor=True
-            ) as detect_span:
+            with self._tracer.span("detect", category="stage") as detect_span:
                 violations = find_violations_involving(
                     self._instance,
                     self._active_constraints,
                     self._staged,
                     raw_indexes=self._join_indexes,
-                    executor=self._executor if self._policy.is_parallel else None,
                     engine=self._engine,
-                    shards=self._shards,
                 )
                 detect_span.tag(violations=len(violations))
             self._staged = []
@@ -291,9 +251,7 @@ class IncrementalRepairer:
                     violations=violations,
                 )
                 reduce_span.tag(sets=len(problem.setcover.sets))
-            with self._tracer.span(
-                "solve", category="stage", anchor=True
-            ) as solve_span:
+            with self._tracer.span("solve", category="stage") as solve_span:
                 cover = self._solve(problem.setcover)
                 solve_span.tag(weight=cover.weight, selected=len(cover.selected))
             with self._tracer.span("apply", category="stage") as apply_span:
@@ -365,24 +323,8 @@ class IncrementalRepairer:
         return self._tracer.finish()
 
     def _solve(self, setcover) -> "Cover":
-        """Solve one commit's MWSCP; decomposed when parallelism is on.
-
-        Mirrors :func:`repro.repair.engine.repair_database`: a non-serial
-        policy routes through the component decomposition so the covers
-        match batch-parallel repairs of the same state, byte for byte.
-        """
-        if self._policy.backend == "serial":
-            return get_solver(self._algorithm, self._solver_engine)(setcover)
-        solver, max_elements, fallback = component_solver(
-            self._algorithm, self._solver_engine
-        )
-        return solve_by_components(
-            setcover,
-            solver,
-            max_component_elements=max_elements,
-            fallback=fallback,
-            executor=self._executor,
-        )
+        """Solve one commit's MWSCP with the configured solver."""
+        return get_solver(self._algorithm, self._solver_engine)(setcover)
 
     def _verify(self) -> None:
         remaining = find_all_violations(

@@ -113,8 +113,8 @@ class StreamingRepairer:
     ``commit_interval`` auto-commits a round every that many accepted
     operations (``None`` = only explicit :meth:`flush` / backpressure
     commits), ``backpressure`` picks the full-queue policy.  Remaining
-    keyword arguments (``algorithm``, ``metric``, ``parallel``,
-    ``engine``, ``solver_engine``, ``shards``, ``plan``, ...) pass
+    keyword arguments (``algorithm``, ``metric``, ``engine``,
+    ``solver_engine``, ``plan``, ...) pass
     through to the inner :class:`IncrementalRepairer` - in particular a
     precompiled :class:`~repro.plan.program.CompiledProgram` is
     validated once and its static analysis reused by *every* commit

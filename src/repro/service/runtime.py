@@ -3,10 +3,10 @@
 :class:`RepairService` is a long-running asyncio runtime that accepts
 repair jobs, admits them through a bounded
 :class:`~repro.service.queue.JobQueue`, and executes each on a *bridge*
-thread pool calling straight into :func:`repro.repair.engine.repair_database`
-- so each job can itself fan out through the :mod:`repro.runtime`
-thread/process executors via its ``parallel`` parameter.  The service
-adds what one-shot calls lack:
+thread pool calling straight into
+:func:`repro.repair.engine.repair_database`; each job runs the serial
+pipeline on its bridge thread.  The service adds what one-shot calls
+lack:
 
 * **admission control** - ``max_pending`` + the streaming layer's
   ``block``/``error`` backpressure policies;
@@ -87,8 +87,6 @@ ALLOWED_PARAMS = frozenset(
         "verify",
         "check_locality",
         "simplify",
-        "parallel",
-        "max_workers",
         "engine",
         "solver_engine",
     }

@@ -18,8 +18,7 @@ components are independent subproblems:
   only produce lighter covers.
 
 ``decompose`` returns the components; ``solve_by_components`` runs a
-solver per component — serially or fanned out over a
-:mod:`repro.runtime` executor — and stitches the covers back together.
+solver per component and stitches the covers back together.
 """
 
 from __future__ import annotations
@@ -113,67 +112,11 @@ def _solver_name(solver: Callable[[SetCoverInstance], Cover]) -> str:
     return name[5:] if name.startswith("flat_") else name
 
 
-def _solve_components_parallel(
-    components: Sequence[Component],
-    chosen: Sequence[Callable[[SetCoverInstance], Cover]],
-    executor,
-) -> list[tuple] | None:
-    """Fan component solving out over an executor; ``None`` = stay serial.
-
-    Components are LPT-batched by size (elements + sets) so one large
-    component cannot straggle a worker that also drew many small ones.
-    Results come back as ``(selected, weight, iterations, stats)`` tuples
-    reassembled into original component order, which makes the merge loop
-    byte-identical to the serial one.
-    """
-    from repro.runtime.executor import as_executor, balanced_chunks
-    from repro.runtime.workers import (
-        component_spec,
-        solve_component_batch,
-        solver_token,
-    )
-
-    ex = as_executor(executor)
-    if not ex.is_parallel or len(components) <= 1:
-        return None
-    # Thread workers record into the active tracer directly (under the
-    # solve anchor); process workers export a remote payload instead.
-    from repro.obs import current_tracer
-
-    tracer = current_tracer()
-    trace_remote = tracer.enabled and ex.backend == "process"
-    tokens = [solver_token(use) for use in chosen]
-    costs = [
-        float(c.instance.n_elements + len(c.instance.sets)) for c in components
-    ]
-    chunks = balanced_chunks(costs, ex.n_chunks(len(components)))
-    payloads = [
-        (
-            [component_spec(components[i].instance) for i in chunk],
-            [tokens[i] for i in chunk],
-            trace_remote,
-        )
-        for chunk in chunks
-    ]
-    results: list[tuple | None] = [None] * len(components)
-    for chunk, outcome in zip(chunks, ex.map(solve_component_batch, payloads)):
-        if trace_remote:
-            batch, remote = outcome
-            tracer.attach_remote(remote)
-        else:
-            batch = outcome
-        for index, result in zip(chunk, batch):
-            results[index] = result
-    return results  # type: ignore[return-value]
-
-
 def solve_by_components(
     instance: SetCoverInstance,
     solver: Callable[[SetCoverInstance], Cover],
     max_component_elements: int | None = None,
     fallback: Callable[[SetCoverInstance], Cover] | None = None,
-    executor=None,
-    max_workers: int | None = None,
 ) -> Cover:
     """Solve each connected component independently and merge the covers.
 
@@ -181,21 +124,17 @@ def solve_by_components(
     "exact where feasible" policy: components larger than the limit are
     handed to the fallback approximation instead of the main solver.
 
-    ``executor`` (anything :func:`repro.runtime.as_executor` accepts — an
-    :class:`~repro.runtime.Executor`, an
-    :class:`~repro.runtime.ExecutionPolicy`, a backend name, or ``True``)
-    fans the per-component solves out across workers; ``max_workers``
-    bounds the pool.  Components are independent subproblems and results
-    are merged in component order, so every backend returns the same cover
-    as the serial loop, byte for byte.
-
     The merged ``stats`` carry the component counts plus the key-wise sum
     of every per-component solver stat (heap operations, layers, B&B
     nodes, ...), so decomposition no longer discards solver bookkeeping.
     """
     components = decompose(instance)
-    chosen: list[Callable[[SetCoverInstance], Cover]] = []
     oversized = 0
+    selected: list[int] = []
+    total_weight = 0.0
+    iterations = 0
+    merged_stats: dict[str, "int | float | str"] = {}
+    label_stats: dict[str, list[str]] = {}
     for component in components:
         use = solver
         if (
@@ -210,31 +149,11 @@ def solve_by_components(
                 )
             use = fallback
             oversized += 1
-        chosen.append(use)
-
-    results = None
-    if executor is not None or max_workers is not None:
-        results = _solve_components_parallel(components, chosen, _coerce_executor(executor, max_workers))
-    if results is None:
-        results = []
-        for component, use in zip(components, chosen):
-            cover = use(component.instance)
-            results.append(
-                (cover.selected, cover.weight, cover.iterations, cover.stats)
-            )
-
-    selected: list[int] = []
-    total_weight = 0.0
-    iterations = 0
-    merged_stats: dict[str, "int | float | str"] = {}
-    label_stats: dict[str, list[str]] = {}
-    for component, (local_selected, weight, local_iterations, stats) in zip(
-        components, results
-    ):
-        selected.extend(component.set_ids[i] for i in local_selected)
-        total_weight += weight
-        iterations += local_iterations
-        for key, value in stats.items():
+        cover = use(component.instance)
+        selected.extend(component.set_ids[i] for i in cover.selected)
+        total_weight += cover.weight
+        iterations += cover.iterations
+        for key, value in cover.stats.items():
             if isinstance(value, str):
                 # Label stats (e.g. ``solver_engine``) cannot be summed;
                 # they survive the merge when every component agrees.
@@ -264,13 +183,6 @@ def solve_by_components(
         iterations=iterations,
         stats=merged_stats,
     )
-
-
-def _coerce_executor(executor, max_workers: int | None):
-    """Late import indirection so serial users never touch the runtime."""
-    from repro.runtime.executor import as_executor
-
-    return as_executor(executor, max_workers)
 
 
 def component_size_histogram(

@@ -21,9 +21,9 @@ engine (the per-``WeightedSet`` reference implementations above) and the
 ``flat`` engine (:mod:`repro.setcover.flat` - CSR incidence arrays,
 bitsets, lazy-decrease queues).  Both return byte-identical covers; the
 flat engine is near-linear in total incidence and is what ``auto``
-resolves to.  :func:`get_solver` / :func:`component_solver` take the
-engine as a keyword (default ``object``, the historical behaviour);
-:func:`resolve_solver_engine` validates the config/CLI spelling.
+resolves to.  :func:`get_solver` takes the engine as a keyword (default
+``object``, the historical behaviour); :func:`resolve_solver_engine`
+validates the config/CLI spelling.
 """
 
 from __future__ import annotations
@@ -167,30 +167,6 @@ FLAT_SOLVERS: Mapping[str, Solver] = {
 
 #: The paper's recommended default (fastest, same quality as greedy).
 DEFAULT_SOLVER = "modified-greedy"
-
-
-def component_solver(
-    name: str | Solver,
-    engine: str = "object",
-) -> tuple[Solver, int | None, Solver | None]:
-    """Per-component solving policy for a registry algorithm.
-
-    Returns ``(solver, max_component_elements, fallback)`` as accepted by
-    :func:`~repro.setcover.decompose.solve_by_components`.  Most
-    algorithms run unchanged on every component; ``exact-decomposed`` is
-    itself a decomposition wrapper, so it unwraps to the exact solver with
-    its size limit and greedy fallback instead of decomposing twice.
-    """
-    solver = get_solver(name, engine)
-    if solver is exact_decomposed_cover:
-        from repro.setcover.exact import MAX_EXACT_ELEMENTS
-
-        return exact_cover, MAX_EXACT_ELEMENTS, modified_greedy_cover
-    if solver is flat_exact_decomposed_cover:
-        from repro.setcover.exact import MAX_EXACT_ELEMENTS
-
-        return flat_exact_cover, MAX_EXACT_ELEMENTS, flat_modified_greedy_cover
-    return solver, None, None
 
 
 def get_solver(name: str | Solver, engine: str = "object") -> Solver:

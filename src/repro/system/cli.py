@@ -80,19 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         "minimum tuple deletions (Section 5), or the combined mode",
     )
     parser.add_argument(
-        "--parallel",
-        choices=["serial", "thread", "process", "auto"],
-        help="override the configured runtime backend: fan violation "
-        "detection out per constraint and set-cover solving per connected "
-        "component (results are identical on every backend)",
-    )
-    parser.add_argument(
-        "--max-workers",
-        type=int,
-        metavar="N",
-        help="worker bound for the parallel runtime (default: all cores)",
-    )
-    parser.add_argument(
         "--engine",
         choices=["auto", "kernel", "interpreted", "pushdown"],
         help="override the violation-detection engine: the columnar NumPy "
@@ -191,13 +178,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             overrides["metric"] = args.metric
         if args.semantics:
             overrides["repair_semantics"] = args.semantics
-        if args.parallel:
-            overrides["runtime_backend"] = args.parallel
-        if args.max_workers is not None:
-            if args.max_workers < 1:
-                print("error: --max-workers must be >= 1", file=sys.stderr)
-                return 1
-            overrides["runtime_workers"] = args.max_workers
         if args.engine:
             overrides["detection_engine"] = args.engine
         if args.solver_engine:
@@ -854,9 +834,6 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
                 "engine": config.detection_engine,
                 "solver_engine": config.solver_engine,
             }
-            if config.runtime_backend != "serial":
-                params["parallel"] = config.runtime_backend
-                params["max_workers"] = config.runtime_workers
             def job_source(i: int):
                 return instance, constraints
         if args.workers is not None:

@@ -25,8 +25,7 @@ into text file)."*  We use JSON::
       "algorithm": "modified-greedy",
       "metric": "l1",
       "violation_detection": "memory",
-      "runtime": {"backend": "process", "max_workers": 4, "engine": "auto",
-                  "solver_engine": "auto"},
+      "runtime": {"engine": "auto", "solver_engine": "auto"},
       "source": {"backend": "sqlite", "path": "clients.db"},
       "export": {"mode": "update"}
     }
@@ -35,12 +34,17 @@ into text file)."*  We use JSON::
 (with ``directory``), or ``memory`` (with inline ``rows``);
 ``export.mode`` is ``update`` / ``insert`` / ``dump`` (the latter with
 ``destination``).  The optional ``runtime`` block picks the
-parallel-execution backend (``serial`` / ``thread`` / ``process`` /
-``auto``) and worker count for the detection and solving stages, plus the
 violation-detection ``engine`` (``auto`` / ``kernel`` / ``interpreted`` /
-``pushdown``, see :mod:`repro.violations.kernels`); it defaults to the
-serial pipeline with the ``auto`` engine, which resolves to ``pushdown``
-for instances loaded from a SQL source backend.
+``pushdown``, see :mod:`repro.violations.kernels`) and the set-cover
+``solver_engine`` (``auto`` / ``flat`` / ``object``); both default to
+``auto``, and the detection ``auto`` resolves to ``pushdown`` for
+instances loaded from a SQL source backend.  The pipeline itself is
+always serial.
+
+Unknown keys at the top level and in the ``runtime``,
+``runtime.streaming``, ``plan`` and ``service`` blocks are rejected with
+a :class:`~repro.exceptions.ConfigError` listing the known keys, so a
+typo never silently falls back to a default.
 
 ``runtime.trace`` switches on the observability layer
 (:mod:`repro.obs`): either a boolean, or an object
@@ -52,7 +56,7 @@ trace and attaches it to its report.
 ``runtime.streaming`` switches the pipeline into sustained streaming
 repair (:class:`repro.repair.streaming.StreamingRepairer`): either a
 boolean, or an object ``{"enabled": true, "max_pending": 1024,
-"commit_interval": 256, "backpressure": "block", "shards": 4}``.  Rows
+"commit_interval": 256, "backpressure": "block"}``.  Rows
 from the source are streamed through a bounded, coalescing commit queue
 instead of being repaired in one batch; requires the ``update`` repair
 semantics.
@@ -79,14 +83,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import AbstractSet, Any, Mapping
 
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.parser import parse_denials
 from repro.exceptions import ConfigError, ConstraintParseError, SchemaError
 from repro.fixes.distance import get_metric
 from repro.model.schema import Attribute, AttributeRole, Relation, Schema
-from repro.runtime.executor import BACKENDS, ExecutionPolicy
 from repro.setcover.solvers import SOLVER_ENGINES, SOLVERS
 from repro.storage.base import ExportMode
 from repro.violations.kernels import ENGINES as _VALID_ENGINES
@@ -98,6 +101,26 @@ _VALID_SEMANTICS = ("update", "delete", "mixed")
 
 _VALID_LINT_GATES = ("error", "warning", "info", "never")
 
+_TOP_LEVEL_KEYS = frozenset(
+    {
+        "schema",
+        "constraints",
+        "algorithm",
+        "metric",
+        "violation_detection",
+        "source",
+        "export",
+        "repair_semantics",
+        "table_weights",
+        "runtime",
+        "lint",
+        "plan",
+        "service",
+    }
+)
+
+_RUNTIME_KEYS = frozenset({"engine", "solver_engine", "trace", "streaming"})
+
 
 @dataclass(frozen=True)
 class RepairConfig:
@@ -107,10 +130,9 @@ class RepairConfig:
     repairs (``update``, Section 3), minimum-cardinality tuple deletions
     (``delete``, Section 5), and the conclusion's combined mode
     (``mixed``); ``table_weights`` sets the per-relation deletion weights
-    ``α_{δ_R}`` for the deletion-based modes.  ``runtime_backend`` /
-    ``runtime_workers`` / ``detection_engine`` / ``solver_engine``
-    configure the parallel-execution runtime, the violation-detection
-    engine and the set-cover solver engine (the JSON ``runtime`` block).
+    ``α_{δ_R}`` for the deletion-based modes.  ``detection_engine`` /
+    ``solver_engine`` configure the violation-detection engine and the
+    set-cover solver engine (the JSON ``runtime`` block).
     """
 
     schema: Schema
@@ -123,8 +145,6 @@ class RepairConfig:
     export_destination: str | None = None
     repair_semantics: str = "update"
     table_weights: Mapping[str, float] = field(default_factory=dict)
-    runtime_backend: str = "serial"
-    runtime_workers: int | None = None
     detection_engine: str = "auto"
     solver_engine: str = "auto"
     trace_enabled: bool = False
@@ -134,7 +154,6 @@ class RepairConfig:
     streaming_max_pending: int | None = 1024
     streaming_commit_interval: int | None = 256
     streaming_backpressure: str = "block"
-    streaming_shards: int | None = None
     lint_preflight: bool = False
     lint_fail_on: str = "error"
     plan_enabled: bool = False
@@ -149,13 +168,6 @@ class RepairConfig:
     service_retry_backoff: float = 0.05
     service_cache_entries: int = 256
     service_trace_jobs: bool = False
-
-    @property
-    def execution_policy(self) -> ExecutionPolicy:
-        """The configured runtime as an :class:`ExecutionPolicy`."""
-        return ExecutionPolicy(
-            backend=self.runtime_backend, max_workers=self.runtime_workers
-        )
 
     def service_options(self) -> "dict[str, Any]":
         """The ``service`` block as :class:`repro.service.RepairService`
@@ -192,6 +204,7 @@ class RepairConfig:
         """Build a config from a parsed JSON object."""
         if not isinstance(data, Mapping):
             raise ConfigError("configuration root must be a JSON object")
+        _reject_unknown("configuration", data, _TOP_LEVEL_KEYS)
 
         schema = _parse_schema(data.get("schema"))
         constraints = _parse_constraints(data.get("constraints"), schema)
@@ -252,22 +265,7 @@ class RepairConfig:
         runtime = data.get("runtime", {})
         if not isinstance(runtime, Mapping):
             raise ConfigError("runtime must be an object")
-        runtime_backend = runtime.get("backend", "serial")
-        if runtime_backend not in BACKENDS:
-            raise ConfigError(
-                f"runtime.backend must be one of {BACKENDS}, "
-                f"got {runtime_backend!r}"
-            )
-        runtime_workers = runtime.get("max_workers")
-        if runtime_workers is not None and (
-            not isinstance(runtime_workers, int)
-            or isinstance(runtime_workers, bool)
-            or runtime_workers < 1
-        ):
-            raise ConfigError(
-                f"runtime.max_workers must be a positive integer, "
-                f"got {runtime_workers!r}"
-            )
+        _reject_unknown("runtime", runtime, _RUNTIME_KEYS)
         detection_engine = runtime.get("engine", "auto")
         if detection_engine not in _VALID_ENGINES:
             raise ConfigError(
@@ -330,8 +328,6 @@ class RepairConfig:
             export_destination=destination,
             repair_semantics=semantics,
             table_weights=dict(table_weights),
-            runtime_backend=runtime_backend,
-            runtime_workers=runtime_workers,
             detection_engine=detection_engine,
             solver_engine=solver_engine,
             trace_enabled=trace_enabled,
@@ -341,13 +337,22 @@ class RepairConfig:
             streaming_max_pending=streaming[1],
             streaming_commit_interval=streaming[2],
             streaming_backpressure=streaming[3],
-            streaming_shards=streaming[4],
             lint_preflight=lint_preflight,
             lint_fail_on=lint_fail_on,
             plan_enabled=plan[0],
             plan_cache_dir=plan[1],
             plan_strict=plan[2],
             **service,
+        )
+
+
+def _reject_unknown(where: str, data: Mapping[str, Any], known: AbstractSet[str]) -> None:
+    """Raise :class:`ConfigError` naming ``data``'s keys outside ``known``."""
+    unknown = set(data) - known
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} key(s) {sorted(unknown)}; "
+            f"choose from {sorted(known)}"
         )
 
 
@@ -367,13 +372,7 @@ def _parse_plan(data: Any) -> "tuple[bool, str | None, bool]":
         raise ConfigError(
             f"plan must be a boolean or an object, got {data!r}"
         )
-    known = {"enabled", "cache_dir", "strict"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown plan key(s) {sorted(unknown)}; "
-            f"choose from {sorted(known)}"
-        )
+    _reject_unknown("plan", data, {"enabled", "cache_dir", "strict"})
     enabled = data.get("enabled", True)
     if not isinstance(enabled, bool):
         raise ConfigError(f"plan.enabled must be a boolean, got {enabled!r}")
@@ -434,12 +433,7 @@ def _parse_service(data: Any) -> "dict[str, Any]":
         "cache_entries",
         "trace_jobs",
     }
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown service key(s) {sorted(unknown)}; "
-            f"choose from {sorted(known)}"
-        )
+    _reject_unknown("service", data, known)
 
     def boolean(key: str, default: bool) -> bool:
         value = data.get(key, default)
@@ -533,31 +527,26 @@ def _parse_trace(data: Any) -> tuple[bool, str | None, str]:
     return enabled, out, format
 
 
-def _parse_streaming(
-    data: Any,
-) -> tuple[bool, int | None, int | None, str, int | None]:
+def _parse_streaming(data: Any) -> tuple[bool, int | None, int | None, str]:
     """Validate the ``runtime.streaming`` block (bool or object form).
 
-    Returns ``(enabled, max_pending, commit_interval, backpressure,
-    shards)``; the object form accepts e.g. ``{"enabled": true,
-    "max_pending": 512, "commit_interval": 64, "backpressure": "error",
-    "shards": 4}``.
+    Returns ``(enabled, max_pending, commit_interval, backpressure)``;
+    the object form accepts e.g. ``{"enabled": true, "max_pending": 512,
+    "commit_interval": 64, "backpressure": "error"}``.
     """
     from repro.repair.streaming import BACKPRESSURE_POLICIES
 
     if isinstance(data, bool):
-        return data, 1024, 256, "block", None
+        return data, 1024, 256, "block"
     if not isinstance(data, Mapping):
         raise ConfigError(
             f"runtime.streaming must be a boolean or an object, got {data!r}"
         )
-    known = {"enabled", "max_pending", "commit_interval", "backpressure", "shards"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown runtime.streaming key(s) {sorted(unknown)}; "
-            f"choose from {sorted(known)}"
-        )
+    _reject_unknown(
+        "runtime.streaming",
+        data,
+        {"enabled", "max_pending", "commit_interval", "backpressure"},
+    )
     enabled = data.get("enabled", True)
     if not isinstance(enabled, bool):
         raise ConfigError(
@@ -575,14 +564,13 @@ def _parse_streaming(
         return value
     max_pending = positive_or_none("max_pending", 1024)
     commit_interval = positive_or_none("commit_interval", 256)
-    shards = positive_or_none("shards", None)
     backpressure = data.get("backpressure", "block")
     if backpressure not in BACKPRESSURE_POLICIES:
         raise ConfigError(
             f"runtime.streaming.backpressure must be one of "
             f"{BACKPRESSURE_POLICIES}, got {backpressure!r}"
         )
-    return enabled, max_pending, commit_interval, backpressure, shards
+    return enabled, max_pending, commit_interval, backpressure
 
 
 def _parse_schema(data: Any) -> Schema:

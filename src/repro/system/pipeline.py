@@ -161,14 +161,12 @@ class RepairProgram:
             violations = self.backend.find_violations(
                 self.config.schema, self.config.constraints
             )
-        policy = self.config.execution_policy
         result = repair_database(
             instance,
             self.config.constraints,
             algorithm=self.config.algorithm,
             metric=self.config.metric,
             violations=violations,
-            parallel=policy if policy.backend != "serial" else None,
             engine=self.config.detection_engine,
             solver_engine=self.config.solver_engine,
             trace=self.config.trace_enabled,
@@ -213,7 +211,6 @@ class RepairProgram:
         """
         from repro.repair.streaming import StreamingRepairer
 
-        policy = self.config.execution_policy
         streamer = StreamingRepairer(
             DatabaseInstance(self.config.schema),
             self.config.constraints,
@@ -223,10 +220,8 @@ class RepairProgram:
             trace=self.config.trace_enabled,
             algorithm=self.config.algorithm,
             metric=self.config.metric,
-            parallel=policy if policy.backend != "serial" else None,
             engine=self.config.detection_engine,
             solver_engine=self.config.solver_engine,
-            shards=self.config.streaming_shards,
             plan=plan,
         )
         for relation in self.config.schema:
@@ -268,7 +263,6 @@ class RepairProgram:
         snapshot path (table rewrite / new tables / text dump) instead of
         per-cell updates.
         """
-        policy = self.config.execution_policy
         deletion = cardinality_repair(
             instance,
             self.config.constraints,
@@ -276,7 +270,6 @@ class RepairProgram:
             mode=self.config.repair_semantics,      # "delete" | "mixed"
             table_weights=self.config.table_weights or None,
             metric=self.config.metric,
-            parallel=policy if policy.backend != "serial" else None,
             engine=self.config.detection_engine,
             solver_engine=self.config.solver_engine,
             trace=self.config.trace_enabled,

@@ -25,12 +25,12 @@ from repro.model.tuples import Tuple
 class JoinIndexCache:
     """Lazily-built, incrementally-maintained hash indexes per join signature.
 
-    Lazy builds are guarded by a lock so concurrent anchor-shard workers
-    (thread backend) can share one warm cache: the first thread to miss a
-    signature builds it, later threads reuse the finished index, and a
-    half-built index is never observable.  Maintenance (``notify_*``)
-    stays single-threaded by contract - it runs between commit rounds,
-    never concurrently with detection.
+    Lazy builds are guarded by a lock so threads sharing one warm cache
+    stay safe: the first thread to miss a signature builds it, later
+    threads reuse the finished index, and a half-built index is never
+    observable.  Maintenance (``notify_*``) stays single-threaded by
+    contract - it runs between commit rounds, never concurrently with
+    detection.
     """
 
     def __init__(self, instance: DatabaseInstance) -> None:

@@ -101,12 +101,3 @@ def test_gated_speedups_are_positive_and_nonempty(path: Path) -> None:
     assert speedups, f"{path.name}: no `*speedup` leaves under 'speedups'"
     for dotted, value in speedups.items():
         assert math.isfinite(value) and value > 0, f"{path.name}: {dotted}={value}"
-
-
-def test_parallel_snapshot_keys() -> None:
-    """``BENCH_parallel.json`` is shaped differently (single top-level run)."""
-    payload = json.loads((RESULTS / "BENCH_parallel.json").read_text())
-    for key in ("serial", "process", "speedup", "workers", "workload"):
-        assert key in payload, f"BENCH_parallel.json lacks {key!r}"
-    assert payload["speedup"] > 0
-    assert isinstance(payload["workers"], int) and payload["workers"] >= 1

@@ -1,7 +1,7 @@
 """Cross-engine parity smoke: one sweep over the whole execution matrix.
 
-Every (detection engine x solver engine x executor x pipeline mode)
-combination must repair the same workload to the same result as the
+Every (detection engine x solver engine x pipeline mode) combination
+must repair the same workload to the same result as the
 serial batch baseline.  This is deliberately one parametrized test: a
 single red dot in the matrix pinpoints the broken combination.
 """
@@ -17,20 +17,14 @@ from repro.workloads.clientbuy import client_buy_workload
 
 ENGINES = ("auto", "interpreted") + (("kernel",) if kernel_available() else ())
 SOLVER_ENGINES = ("auto", "flat", "object")
-EXECUTORS = ("serial", "thread", "process")
 MODES = ("batch", "incremental", "streaming")
 
 
 def _matrix():
     for engine in ENGINES:
         for solver_engine in SOLVER_ENGINES:
-            for executor in EXECUTORS:
-                for mode in MODES:
-                    # The process pool is expensive to spin up; one mode
-                    # per combination keeps the sweep under control.
-                    if executor == "process" and mode != "batch":
-                        continue
-                    yield engine, solver_engine, executor, mode
+            for mode in MODES:
+                yield engine, solver_engine, mode
 
 
 @pytest.fixture(scope="module")
@@ -49,18 +43,15 @@ def _replay(workload, repairer):
 
 
 @pytest.mark.parametrize(
-    "engine,solver_engine,executor,mode",
+    "engine,solver_engine,mode",
     list(_matrix()),
     ids=lambda value: str(value),
 )
 def test_matrix_combination_matches_serial_batch(
-    baseline_workload, engine, solver_engine, executor, mode
+    baseline_workload, engine, solver_engine, mode
 ):
     workload, baseline = baseline_workload
     kwargs = {"engine": engine, "solver_engine": solver_engine}
-    if executor != "serial":
-        kwargs["parallel"] = executor
-        kwargs["max_workers"] = 2
 
     if mode == "batch":
         result = repair_database(

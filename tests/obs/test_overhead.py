@@ -49,18 +49,6 @@ class TestZeroSpans:
         assert result.trace is None
         assert span_counter["spans"] == 0
 
-    def test_untraced_repair_with_runtime_allocates_no_spans(
-        self, small_clientbuy, span_counter
-    ):
-        from repro.runtime import ExecutionPolicy
-
-        repair_database(
-            small_clientbuy.instance,
-            small_clientbuy.constraints,
-            parallel=ExecutionPolicy(backend="thread", max_workers=2),
-        )
-        assert span_counter["spans"] == 0
-
     def test_no_active_tracer_leaks(self, small_clientbuy):
         repair_database(
             small_clientbuy.instance, small_clientbuy.constraints, trace=True

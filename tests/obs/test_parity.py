@@ -67,23 +67,3 @@ def test_parity_on_paper_example(paper_pub, algorithm):
     assert _comparable(traced) == _comparable(untraced)
     # The stats schema is identical too - tracing adds no keys there.
     assert dict(traced.solver_stats) == dict(untraced.solver_stats)
-
-
-def test_parity_under_thread_runtime(small_clientbuy):
-    from repro.runtime import ExecutionPolicy
-
-    policy = ExecutionPolicy(backend="thread", max_workers=2)
-    untraced = repair_database(
-        small_clientbuy.instance,
-        small_clientbuy.constraints,
-        algorithm="modified-greedy",
-        parallel=policy,
-    )
-    traced = repair_database(
-        small_clientbuy.instance,
-        small_clientbuy.constraints,
-        algorithm="modified-greedy",
-        parallel=policy,
-        trace=True,
-    )
-    assert _comparable(traced) == _comparable(untraced)

@@ -1,4 +1,4 @@
-"""Integration: tracing through the engine, runtimes, config and CLI.
+"""Integration: tracing through the engine, config and CLI.
 
 The trace a repair produces is part of the public surface: a ``repair``
 root span with the Figure-1 stage children, per-constraint detection
@@ -17,7 +17,6 @@ from repro import DatabaseInstance, IncrementalRepairer, repair_database
 from repro.cardinality.engine import cardinality_repair
 from repro.exceptions import ConfigError
 from repro.obs import Tracer, load_trace
-from repro.runtime import ExecutionPolicy
 from repro.system.cli import main, repro_main, trace_main
 from repro.system.config import RepairConfig
 
@@ -89,7 +88,7 @@ class TestEngineTrace:
     def test_caller_supplied_tracer_stays_open(self, paper_pub):
         tracer = Tracer("caller")
         with tracer.activate():
-            with tracer.span("session", anchor=True):
+            with tracer.span("session"):
                 first = repair_database(
                     paper_pub.instance, paper_pub.constraints, trace=tracer
                 )
@@ -100,46 +99,6 @@ class TestEngineTrace:
         trace = tracer.finish()
         session = trace.roots[0]
         assert [c.name for c in session.children] == ["repair", "repair"]
-
-
-class TestRuntimeTrace:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_backends_fill_the_same_tree(self, small_clientbuy, backend):
-        result = repair_database(
-            small_clientbuy.instance,
-            small_clientbuy.constraints,
-            algorithm="modified-greedy",
-            parallel=ExecutionPolicy(backend=backend, max_workers=2),
-            trace=True,
-        )
-        trace = result.trace
-        detect = trace.find("detect")
-        assert any(s.name.startswith("detect:") for s in detect.walk())
-        assert any(
-            s.name.startswith("solve:") for s in trace.find("solve").walk()
-        )
-        # Every merged span respects the containment invariants.
-        def check(span):
-            for child in span.children:
-                assert child.duration >= 0.0
-                assert child.start >= span.start - 1e-9
-                assert child.end <= span.end + 1e-9
-                check(child)
-
-        for root in trace.roots:
-            check(root)
-
-    def test_process_workers_report_their_metrics(self, small_clientbuy):
-        result = repair_database(
-            small_clientbuy.instance,
-            small_clientbuy.constraints,
-            algorithm="modified-greedy",
-            parallel=ExecutionPolicy(backend="process", max_workers=2),
-            trace=True,
-        )
-        counters = {c["name"] for c in result.trace.metrics["counters"]}
-        assert "violations_found" in counters
-        assert "cover_sets" in counters
 
 
 class TestIncrementalTrace:

@@ -132,21 +132,6 @@ class TestBatchParity:
         )
         _assert_same(planned, unplanned)
 
-    @settings(max_examples=25, deadline=None)
-    @given(instance=instances())
-    def test_planned_parallel_equals_unplanned_serial(self, instance):
-        unplanned = repair_database(
-            instance, CONSTRAINTS_WITH_DEAD, check_locality=False
-        )
-        planned = repair_database(
-            instance,
-            CONSTRAINTS_WITH_DEAD,
-            check_locality=False,
-            parallel="thread",
-            plan=PLAN_WITH_DEAD,
-        )
-        _assert_same(planned, unplanned)
-
 
 class TestDeterministicWorkloadParity:
     @pytest.mark.parametrize("solver_engine", SOLVER_ENGINES)

@@ -1,4 +1,4 @@
-"""Planned detection: chain execution, runtime refusal fallback, parallel."""
+"""Planned detection: chain execution and runtime refusal fallback."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.exceptions import KernelError, PlanError
 from repro.obs.trace import Tracer
 from repro.plan import compile_program, planned_find_all_violations
 from repro.plan.runtime import effective_chain, planned_find_violations
-from repro.runtime import ExecutionPolicy
 from repro.violations.detector import find_all_violations
 from repro.workloads.clientbuy import CLIENT_BUY_CONSTRAINTS, client_buy_workload
 
@@ -95,21 +94,7 @@ class TestPlannedFindViolations:
             )
 
 
-class TestPlannedParallel:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_matches_serial(self, workload, backend):
-        program = compile_program(workload.schema, workload.constraints)
-        serial = planned_find_all_violations(
-            workload.instance, workload.constraints, program
-        )
-        parallel = planned_find_all_violations(
-            workload.instance,
-            workload.constraints,
-            program,
-            executor=ExecutionPolicy(backend=backend, max_workers=2),
-        )
-        assert parallel == serial
-
+class TestPlannedFindAll:
     def test_skipped_entries_never_detected(self, workload):
         dead = parse_denials(
             "ic_dead: NOT(Client(id, a, c), a < 10, a > 20)"

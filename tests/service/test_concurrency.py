@@ -101,32 +101,6 @@ class TestConcurrentParity:
             assert view.attempts == kills + 1
             _assert_same(service._job(view.id).result, serial)
 
-    def test_thread_parallel_jobs_match_serial(self):
-        """Jobs that themselves fan out through the thread executor."""
-        workload = client_buy_workload(40, inconsistency_ratio=0.4, seed=11)
-        params = {"parallel": "thread", "max_workers": 2}
-        requests = [
-            JobRequest(workload.instance, tuple(workload.constraints), params=params)
-        ] * 3
-        views, service = run_jobs(requests, workers=3)
-        serial = _serial(workload, {})
-        for view in views:
-            assert view.status == SUCCEEDED
-            _assert_same(service._job(view.id).result, serial)
-
-    def test_process_parallel_jobs_match_serial(self):
-        """The process bridge: heavier, so one deterministic case."""
-        workload = client_buy_workload(40, inconsistency_ratio=0.4, seed=11)
-        params = {"parallel": "process", "max_workers": 2}
-        requests = [
-            JobRequest(workload.instance, tuple(workload.constraints), params=params)
-        ] * 2
-        views, service = run_jobs(requests, workers=2)
-        serial = _serial(workload, {})
-        for view in views:
-            assert view.status == SUCCEEDED
-            _assert_same(service._job(view.id).result, serial)
-
     def test_mixed_parameter_jobs_stay_independent(self):
         """Different params over the same data share plan/violations
         without contaminating each other's results."""

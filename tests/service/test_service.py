@@ -103,6 +103,14 @@ class TestLifecycle:
                         tuple(workload.constraints),
                         plan="nope",
                     )
+                # The retired fan-out knobs are unknown too.
+                with pytest.raises(ServiceError, match="unknown job parameter"):
+                    await service.submit(
+                        workload.instance,
+                        tuple(workload.constraints),
+                        parallel="thread",
+                        max_workers=2,
+                    )
 
         asyncio.run(scenario())
 

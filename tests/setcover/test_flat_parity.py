@@ -40,7 +40,7 @@ from repro.setcover import (
     strip_engine_stats,
 )
 from repro.setcover.decompose import solve_by_components
-from repro.setcover.solvers import component_solver
+from repro.setcover.exact import MAX_EXACT_ELEMENTS
 
 PAIRS = [
     (greedy_cover, flat_greedy_cover),
@@ -271,22 +271,34 @@ class TestEngineRegistry:
         assert get_solver(greedy_cover, engine="flat") is greedy_cover
 
     def test_component_solver_flat_exact_decomposed(self):
-        solver, max_elements, fallback = component_solver(
-            "exact-decomposed", "flat"
-        )
-        assert solver is flat_exact_cover
-        assert max_elements == 64
-        assert fallback is flat_modified_greedy_cover
+        """``exact-decomposed`` = exact per component, greedy past the limit.
 
-
-class TestSolverTokens:
-    def test_flat_token_round_trip(self):
-        from repro.runtime.workers import resolve_solver, solver_token
-
-        token = solver_token(flat_modified_greedy_cover)
-        assert token == "flat:modified-greedy"
-        assert resolve_solver(token) is flat_modified_greedy_cover
-        assert resolve_solver(solver_token(greedy_cover)) is greedy_cover
+        One small component and one chain component just over the exact
+        solver's limit, so both the exact path and the fallback run.
+        """
+        big = MAX_EXACT_ELEMENTS + 1
+        collections = [(1.0, [0, 1]), (1.5, [0]), (1.5, [1])]
+        collections += [(1.0, [2 + i, 3 + i]) for i in range(big - 1)]
+        instance = SetCoverInstance.from_collections(2 + big, collections)
+        for engine, exact, fallback in (
+            ("object", exact_cover, modified_greedy_cover),
+            ("flat", flat_exact_cover, flat_modified_greedy_cover),
+        ):
+            direct = solve_by_components(
+                instance,
+                exact,
+                max_component_elements=MAX_EXACT_ELEMENTS,
+                fallback=fallback,
+            )
+            registered = get_solver("exact-decomposed", engine)(instance)
+            assert registered.selected == direct.selected
+            assert registered.weight == direct.weight
+            assert registered.algorithm == direct.algorithm
+            assert registered.stats == direct.stats
+            assert direct.stats["oversized_components"] == 1
+            assert direct.algorithm == (
+                "by-components(exact_cover, fallback=modified_greedy_cover)"
+            )
 
 
 class TestInstanceValidation:

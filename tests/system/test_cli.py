@@ -69,23 +69,31 @@ class TestCli:
         parser = build_parser()
         assert "modified-greedy" in parser.format_help()
 
-    def test_parallel_override(self, config_path, capsys):
-        assert main([config_path, "--parallel", "thread", "--dry-run"]) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "flags", [["--parallel", "thread"], ["--max-workers", "2"]]
+    )
+    def test_retired_parallel_flags_are_argparse_errors(
+        self, config_path, capsys, flags
+    ):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["repair", config_path, *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_parallel_with_workers(self, config_path, capsys):
-        args = [config_path, "--parallel", "process", "--max-workers", "2"]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "verified D'|=IC  : True" in out
-
-    def test_parallel_rejects_unknown_backend(self, config_path, capsys):
-        with pytest.raises(SystemExit):
-            main([config_path, "--parallel", "gpu"])
-
-    def test_max_workers_must_be_positive(self, config_path, capsys):
-        assert main([config_path, "--max-workers", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "typo",
+        [{"algoritm": "layer"}, {"runtime": {"engin": "kernel", "bakend": "process"}}],
+    )
+    def test_unknown_config_keys_fail(self, config_path, capsys, typo):
+        with open(config_path) as handle:
+            data = json.load(handle)
+        data.update(typo)
+        with open(config_path, "w") as handle:
+            json.dump(data, handle)
+        assert main([config_path, "--dry-run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "unknown" in err
 
     def test_solver_engine_override(self, config_path, capsys):
         for engine in ("flat", "object", "auto"):

@@ -75,6 +75,8 @@ class TestValidation:
             (lambda d: d.update(source={"backend": "sqlite"}), "path"),
             (lambda d: d.update(export={"mode": "teleport"}), "mode"),
             (lambda d: d.update(export={"mode": "dump"}), "destination"),
+            # a typo is an error that lists the known keys
+            (lambda d: d.update(algoritm="layer"), "unknown configuration key.*'algorithm'"),
         ],
     )
     def test_rejections(self, mutate, message):
@@ -123,25 +125,6 @@ class TestValidation:
 
 
 class TestRuntimeBlock:
-    def test_default_is_serial(self):
-        config = RepairConfig.from_dict(minimal_config())
-        assert config.runtime_backend == "serial"
-        assert config.runtime_workers is None
-        policy = config.execution_policy
-        assert policy.backend == "serial"
-        assert not policy.is_parallel
-
-    def test_runtime_block_parsed(self):
-        data = minimal_config()
-        data["runtime"] = {"backend": "process", "max_workers": 3}
-        config = RepairConfig.from_dict(data)
-        assert config.runtime_backend == "process"
-        assert config.runtime_workers == 3
-        policy = config.execution_policy
-        assert policy.backend == "process"
-        assert policy.max_workers == 3
-        assert policy.is_parallel
-
     @pytest.mark.parametrize(
         "runtime, message",
         [
@@ -151,6 +134,7 @@ class TestRuntimeBlock:
             ({"max_workers": "four"}, "max_workers"),
             ({"solver_engine": "vectorized"}, "solver_engine"),
             ("process", "runtime"),
+            ({"engin": "kernel", "bakend": "process"}, "unknown runtime key.*'engine'"),
         ],
     )
     def test_bad_runtime_rejected(self, runtime, message):
@@ -189,7 +173,6 @@ class TestStreamingBlock:
         assert config.streaming_max_pending == 1024
         assert config.streaming_commit_interval == 256
         assert config.streaming_backpressure == "block"
-        assert config.streaming_shards is None
 
     def test_boolean_form(self):
         data = minimal_config()
@@ -206,7 +189,6 @@ class TestStreamingBlock:
                 "max_pending": 64,
                 "commit_interval": None,
                 "backpressure": "error",
-                "shards": 4,
             }
         }
         config = RepairConfig.from_dict(data)
@@ -214,7 +196,6 @@ class TestStreamingBlock:
         assert config.streaming_max_pending == 64
         assert config.streaming_commit_interval is None
         assert config.streaming_backpressure == "error"
-        assert config.streaming_shards == 4
 
     @pytest.mark.parametrize(
         "streaming, message",
@@ -223,7 +204,7 @@ class TestStreamingBlock:
             ({"enabled": True, "backpressure": "drop"}, "backpressure"),
             ({"enabled": True, "max_pending": 0}, "max_pending"),
             ({"enabled": True, "commit_interval": -5}, "commit_interval"),
-            ({"enabled": True, "shards": 0}, "shards"),
+            ({"enabled": True, "max_pending": True}, "max_pending"),
             ({"enabled": True, "nope": 1}, "unknown"),
         ],
     )

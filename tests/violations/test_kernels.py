@@ -220,15 +220,13 @@ class TestRepairParity:
     @pytest.mark.parametrize(
         "algorithm", ["greedy", "modified-greedy", "layer", "modified-layer"]
     )
-    @pytest.mark.parametrize("parallel", [None, "thread"])
-    def test_approximate_solvers(self, algorithm, parallel):
+    def test_approximate_solvers(self, algorithm):
         workload = client_buy_workload(60, seed=9)
         results = {
             engine: repair_database(
                 workload.instance,
                 workload.constraints,
                 algorithm=algorithm,
-                parallel=parallel,
                 engine=engine,
             )
             for engine in ("interpreted", "kernel")
