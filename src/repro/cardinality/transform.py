@@ -131,9 +131,10 @@ def build_delta_transform(
 
     new_instance = DatabaseInstance(new_schema)
     for relation in original_schema:
-        new_relation = new_schema.relation(relation.name)
-        for tup in instance.tuples(relation.name):
-            new_instance.insert(Tuple(new_relation, tup.values + (1,)))
+        new_instance.insert_rows(
+            relation.name,
+            [tup.values + (1,) for tup in instance.tuples(relation.name)],
+        )
 
     new_constraints = tuple(
         _transform_constraint(ic, delta_names) for ic in constraints

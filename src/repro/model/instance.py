@@ -9,11 +9,18 @@ handled by the repair algorithms.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+import gc
+from itertools import islice, repeat
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.exceptions import InstanceError, KeyViolationError
 from repro.model.schema import Relation, Schema
-from repro.model.tuples import Tuple, TupleRef
+from repro.model.tuples import Tuple, TupleRef, arity_error, flexible_error
+
+
+def _duplicate_key_error(relation_name: str, key: tuple[Any, ...]) -> KeyViolationError:
+    return KeyViolationError(f"duplicate key {key!r} in relation {relation_name!r}")
 
 
 class DatabaseInstance:
@@ -46,9 +53,7 @@ class DatabaseInstance:
         """Build an instance from ``{relation_name: [row, ...]}`` mappings."""
         instance = cls(schema)
         for relation_name, relation_rows in rows.items():
-            relation = schema.relation(relation_name)
-            for row in relation_rows:
-                instance.insert(Tuple(relation, tuple(row)))
+            instance.insert_rows(relation_name, relation_rows)
         return instance
 
     def insert(self, tup: Tuple) -> None:
@@ -56,11 +61,82 @@ class DatabaseInstance:
         table = self._table(tup.relation.name)
         key = tup.key
         if key in table:
-            raise KeyViolationError(
-                f"duplicate key {key!r} in relation {tup.relation.name!r}"
-            )
+            raise _duplicate_key_error(tup.relation.name, key)
         table[key] = tup
         self._versions[tup.relation.name] += 1
+
+    def insert_rows(
+        self,
+        relation_name: str,
+        rows: Iterable[Iterable[Any]],
+        origin: Callable[[int], str] | None = None,
+    ) -> tuple[frozenset[type], ...]:
+        """Insert a batch of raw rows into one relation: the bulk ingest path.
+
+        Equivalent to ``insert(Tuple(relation, row))`` for each row in
+        order: the same checks (arity, flexible ⇒ integer, duplicate key
+        within the batch and against present rows), the same exception
+        type and message for the first bad row, and the same resulting
+        tuples, order and :meth:`data_version`.  The checks run once per
+        column rather than once per cell, and the call is atomic: when it
+        raises, the instance is unchanged.
+
+        ``origin`` maps the index of a row in ``rows`` to a location (such
+        as ``path:line``) that prefixes the error message; it is used for
+        error reporting only.
+
+        Returns the set of value types of each column, in attribute order,
+        so a loader can derive per-column verdicts (all-integer, NULL-free)
+        without a second pass over the cells.
+
+        The cyclic GC is paused for the call and its previous state
+        restored afterwards: everything the ingest allocates survives it,
+        so a collection there would only re-scan the new tuples.  When
+        the GC was on and the batch is larger than the young generation's
+        threshold, one collection of the two younger generations then
+        moves the new objects to the old one.
+        """
+        relation = self._schema.relation(relation_name)
+        table = self._table(relation_name)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            batch = list(map(tuple, rows))
+            column_types, failure = _check_cells(relation, batch)
+            if failure is None and (
+                not table or table.keys().isdisjoint(_keys(relation, batch))
+            ):
+                size = len(table)
+                inserted = False
+                try:
+                    table.update(
+                        zip(_keys(relation, batch), map(Tuple._trusted, repeat(relation), batch))
+                    )
+                    inserted = len(table) == size + len(batch)
+                finally:
+                    # No batch key was present before, so the batch's
+                    # entries are the newest: popping back to the old size
+                    # undoes a failed update or a key repeated in the batch.
+                    while not inserted and len(table) > size:
+                        table.popitem()
+                if inserted:
+                    self._versions[relation_name] += len(batch)
+                    threshold = gc.get_threshold()[0]
+                    if gc_was_enabled and 0 < threshold < len(batch):
+                        # The batch outgrew the young generation, so a young
+                        # collection is due as soon as the GC is back on, and
+                        # a middle-generation one soon after; collecting both
+                        # now moves the survivors to the old generation in
+                        # one traversal instead of two.
+                        gc.collect(1)
+                    return column_types
+            index, error = _first_duplicate(relation, batch, table, failure)
+            if origin is not None:
+                error = type(error)(f"{origin(index)}: {error}")
+            raise error
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
     def insert_row(self, relation_name: str, row: Iterable[Any]) -> Tuple:
         """Convenience: build and insert a tuple from raw values."""
@@ -231,3 +307,63 @@ class DatabaseInstance:
             for tup in table.values():
                 lines.append("   " + ", ".join(str(v) for v in tup.values))
         return "\n".join(lines)
+
+
+def _keys(relation: Relation, batch: list[tuple[Any, ...]]) -> Iterator[tuple[Any, ...]]:
+    """The key of each row, zipped from the key columns."""
+    return zip(*[map(itemgetter(p), batch) for p in relation.key_positions])
+
+
+def _check_cells(
+    relation: Relation, batch: list[tuple[Any, ...]]
+) -> tuple[tuple[frozenset[type], ...], tuple[int, InstanceError] | None]:
+    """Arity and flexible ⇒ integer checks of :meth:`DatabaseInstance.insert_rows`.
+
+    Returns the type set of each column (over the rows before the first
+    failure) and the first failing ``(row index, error)``, or ``None``.
+    A row-by-row insert's order decides: the lowest row index wins, and
+    within a row arity beats the flexible attributes, which are checked
+    in declaration order.
+    """
+    failure: tuple[int, InstanceError] | None = None
+    arity = relation.arity
+    if set(map(len, batch)) - {arity}:
+        end = next(i for i, values in enumerate(batch) if len(values) != arity)
+        failure = (end, arity_error(relation, batch[end]))
+        batch = batch[:end]
+    column_types = tuple(
+        frozenset(map(type, map(itemgetter(position), batch)))
+        for position in range(arity)
+    )
+    for position in relation.flexible_positions:
+        if column_types[position] <= {int}:
+            continue
+        end = len(batch) if failure is None else failure[0]
+        for index, values in enumerate(islice(batch, end)):
+            if not isinstance(values[position], int):
+                failure = (index, flexible_error(relation, position, values[position]))
+                break
+    return column_types, failure
+
+
+def _first_duplicate(
+    relation: Relation,
+    batch: list[tuple[Any, ...]],
+    table: Mapping[tuple[Any, ...], Tuple],
+    failure: tuple[int, InstanceError] | None,
+) -> tuple[int, InstanceError]:
+    """The first failing row once duplicate keys are taken into account.
+
+    A duplicate key - against ``table`` or an earlier row - fails its row
+    only when it comes before ``failure``, the first arity or flexible
+    failure: within a row, those checks run before the key is looked up.
+    """
+    end = len(batch) if failure is None else failure[0]
+    seen: set[tuple[Any, ...]] = set()
+    for index, key in enumerate(islice(_keys(relation, batch), end)):
+        if key in table or key in seen:
+            return index, _duplicate_key_error(relation.name, key)
+        seen.add(key)
+    if failure is None:
+        raise AssertionError("insert_rows found a duplicate key it cannot locate")
+    return failure

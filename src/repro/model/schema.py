@@ -97,6 +97,9 @@ class Relation:
     _key_positions: tuple[int, ...] = field(
         init=False, repr=False, compare=False, hash=False
     )
+    _flexible_positions: tuple[int, ...] = field(
+        init=False, repr=False, compare=False, hash=False
+    )
 
     def __init__(
         self,
@@ -134,6 +137,11 @@ class Relation:
         object.__setattr__(self, "_index", index)
         object.__setattr__(
             self, "_key_positions", tuple(index[k] for k in key_names)
+        )
+        object.__setattr__(
+            self,
+            "_flexible_positions",
+            tuple(i for i, a in enumerate(attrs) if a.is_flexible),
         )
 
     # -- lookups -----------------------------------------------------------
@@ -176,7 +184,16 @@ class Relation:
     @property
     def flexible_attributes(self) -> tuple[Attribute, ...]:
         """The flexible attributes (``F ∩ A_R``) in declaration order."""
-        return tuple(a for a in self.attributes if a.is_flexible)
+        return tuple(self.attributes[i] for i in self._flexible_positions)
+
+    @property
+    def flexible_positions(self) -> tuple[int, ...]:
+        """Positions of the flexible attributes, in declaration order.
+
+        Computed once at construction: tuple validation reads it for every
+        tuple built, so it must not re-derive roles attribute by attribute.
+        """
+        return self._flexible_positions
 
     @property
     def key_positions(self) -> tuple[int, ...]:

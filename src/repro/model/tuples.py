@@ -19,6 +19,23 @@ from repro.model.schema import Relation
 _UNSET: Any = object()
 
 
+def arity_error(relation: Relation, values: tuple[Any, ...]) -> InstanceError:
+    """The error for a row whose length is not the relation's arity."""
+    return InstanceError(
+        f"tuple for {relation.name!r} has arity {len(values)}, "
+        f"expected {relation.arity}"
+    )
+
+
+def flexible_error(relation: Relation, position: int, value: Any) -> InstanceError:
+    """The error for a non-integer value in a flexible attribute."""
+    attribute = relation.attributes[position]
+    return InstanceError(
+        f"{relation.name}.{attribute.name} is flexible and must be "
+        f"an integer, got {value!r} ({type(value).__name__})"
+    )
+
+
 class Tuple:
     """An immutable tuple of a relation.
 
@@ -32,20 +49,29 @@ class Tuple:
     def __init__(self, relation: Relation, values: tuple[Any, ...] | list[Any]) -> None:
         values = tuple(values)
         if len(values) != relation.arity:
-            raise InstanceError(
-                f"tuple for {relation.name!r} has arity {len(values)}, "
-                f"expected {relation.arity}"
-            )
-        for attribute, value in zip(relation.attributes, values):
-            if attribute.is_flexible and not isinstance(value, int):
-                raise InstanceError(
-                    f"{relation.name}.{attribute.name} is flexible and must be "
-                    f"an integer, got {value!r} ({type(value).__name__})"
-                )
+            raise arity_error(relation, values)
+        for position in relation.flexible_positions:
+            if not isinstance(values[position], int):
+                raise flexible_error(relation, position, values[position])
         self._relation = relation
         self._values = values
         self._hash = hash((relation.name, values))
         self._ref: TupleRef | None = None
+
+    @classmethod
+    def _trusted(cls, relation: Relation, values: tuple[Any, ...]) -> "Tuple":
+        """Build a tuple from values the caller has already validated.
+
+        The bulk ingest (:meth:`DatabaseInstance.insert_rows`) checks
+        arity and flexible integrality once per column; this skips the
+        per-tuple re-check and nothing else (same fields, same hash).
+        """
+        tup = cls.__new__(cls)
+        tup._relation = relation
+        tup._values = values
+        tup._hash = hash((relation.name, values))
+        tup._ref = None
+        return tup
 
     # -- accessors ----------------------------------------------------------
 

@@ -20,7 +20,6 @@ from repro.constraints.denial import DenialConstraint
 from repro.exceptions import BackendError
 from repro.model.instance import DatabaseInstance
 from repro.model.schema import Relation, Schema
-from repro.model.tuples import Tuple
 from repro.repair.result import RepairResult
 from repro.storage.base import ExportMode
 from repro.violations.detector import ViolationSet, find_all_violations
@@ -73,6 +72,8 @@ class CsvBackend:
                         f"{path}: header {header} does not match schema "
                         f"attributes {list(relation.attribute_names)}"
                     )
+                rows = []
+                line_numbers = []
                 for line_number, row in enumerate(reader, start=2):
                     if not row:
                         continue
@@ -81,11 +82,21 @@ class CsvBackend:
                             f"{path}:{line_number}: expected {relation.arity} "
                             f"cells, got {len(row)}"
                         )
-                    values = tuple(
-                        _parse_cell(relation, i, cell)
-                        for i, cell in enumerate(row)
-                    )
-                    instance.insert(Tuple(relation, values))
+                    try:
+                        rows.append(
+                            tuple(
+                                _parse_cell(relation, i, cell)
+                                for i, cell in enumerate(row)
+                            )
+                        )
+                    except BackendError as error:
+                        raise BackendError(f"{path}:{line_number}: {error}") from None
+                    line_numbers.append(line_number)
+            instance.insert_rows(
+                relation.name,
+                rows,
+                origin=lambda index: f"{path}:{line_numbers[index]}",
+            )
         return instance
 
     def find_violations(

@@ -44,7 +44,7 @@ from repro.violations.detector import ViolationSet, _ordered_violation_sets
 from repro.violations.pushdown import (
     BINDING_ATTR,
     bind_backend,
-    prescan_columns,
+    column_verdicts,
     pushdown_requirements,
     referenced_columns,
     slot_columns,
@@ -230,6 +230,7 @@ class DuckDBBackend:
         """Read every table into a backend-resident in-memory instance."""
         instance = DatabaseInstance(schema)
         cursor = self._cursor()
+        verdicts: dict[Any, bool] = {}
         for relation in schema:
             try:
                 cursor.execute(
@@ -241,12 +242,14 @@ class DuckDBBackend:
                 raise BackendError(
                     f"cannot read table {relation.name!r}: {error}"
                 ) from error
-            for row in rows:
-                instance.insert(Tuple(relation, tuple(row)))
+            verdicts.update(
+                column_verdicts(relation, instance.insert_rows(relation.name, rows))
+            )
+            del rows
         bind_backend(instance, self)
-        # Seed the NULL-scan cache from the rows just read (declared
-        # types already settle the integer checks in DuckDB).
-        getattr(instance, BINDING_ATTR).cache.update(prescan_columns(instance))
+        # Seed the NULL-scan cache from the column types just read
+        # (declared types already settle the integer checks in DuckDB).
+        getattr(instance, BINDING_ATTR).cache.update(verdicts)
         return instance
 
     def find_violations(

@@ -28,7 +28,7 @@ from repro.violations.detector import ViolationSet, _ordered_violation_sets
 from repro.violations.pushdown import (
     BINDING_ATTR,
     bind_backend,
-    prescan_columns,
+    column_verdicts,
     pushdown_requirements,
     referenced_columns,
     slot_columns,
@@ -159,22 +159,25 @@ class SqliteBackend:
         """
         instance = DatabaseInstance(schema)
         cursor = self._cursor()
+        verdicts: dict[Any, bool] = {}
         for relation in schema:
             try:
-                rows = cursor.execute(
-                    f"SELECT {', '.join(relation.attribute_names)} "
-                    f"FROM {relation.name}"
+                column_types = instance.insert_rows(
+                    relation.name,
+                    cursor.execute(
+                        f"SELECT {', '.join(relation.attribute_names)} "
+                        f"FROM {relation.name}"
+                    ),
                 )
             except sqlite3.Error as error:
                 raise BackendError(
                     f"cannot read table {relation.name!r}: {error}"
                 ) from error
-            for row in rows:
-                instance.insert(Tuple(relation, tuple(row)))
+            verdicts.update(column_verdicts(relation, column_types))
         bind_backend(instance, self)
-        # Seed the executability cache from the rows just read: detection
-        # then needs no per-column typeof/NULL scans at all.
-        getattr(instance, BINDING_ATTR).cache.update(prescan_columns(instance))
+        # Seed the executability cache from the column types just read:
+        # detection then needs no per-column typeof/NULL scans at all.
+        getattr(instance, BINDING_ATTR).cache.update(verdicts)
         return instance
 
     def find_violations(

@@ -40,7 +40,7 @@ from repro.model.instance import DatabaseInstance
 
 if TYPE_CHECKING:
     from repro.constraints.denial import DenialConstraint
-    from repro.model.schema import Schema
+    from repro.model.schema import Relation, Schema
     from repro.model.tuples import Tuple
 
 #: Attribute slot on :class:`DatabaseInstance` holding the binding.  The
@@ -159,28 +159,26 @@ def pushdown_has_witness(
     )
 
 
-def prescan_columns(instance: DatabaseInstance) -> dict[Any, bool]:
-    """Per-column executability verdicts, computed from the loaded image.
+def column_verdicts(
+    relation: "Relation", column_types: Iterable[frozenset[type]]
+) -> dict[Any, bool]:
+    """Per-column executability verdicts of one freshly loaded relation.
 
-    Returns ``{("int"|"null", relation, attribute): clean}`` entries for
-    every column: ``"int"`` means all values are integers, ``"null"``
-    means the column is NULL-free.  A backend that just loaded the
-    instance can seed the binding's cache with these instead of issuing
-    per-column SQL scans at detection time - the binding's version checks
-    guarantee the in-memory image still mirrors the stored tables, so the
-    verdicts are interchangeable.
+    ``column_types`` holds the set of value types of each column, in
+    attribute order, as :meth:`DatabaseInstance.insert_rows` returns it.
+    Returns ``{("int"|"null", relation, attribute): clean}`` entries:
+    ``"int"`` means all values are integers (``bool`` excluded), ``"null"``
+    means the column is NULL-free; an empty column is clean on both.  A
+    backend that just loaded the instance seeds the binding's cache with
+    these instead of issuing per-column SQL scans at detection time - the
+    binding's version checks guarantee the in-memory image still mirrors
+    the stored tables, so the verdicts are interchangeable.
     """
-    cache: dict[Any, bool] = {}
-    for relation in instance.schema:
-        tuples = instance.tuples(relation.name)
-        for index, attribute in enumerate(relation.attributes):
-            all_int = all(type(t.values[index]) is int for t in tuples)
-            no_null = all_int or all(
-                t.values[index] is not None for t in tuples
-            )
-            cache[("int", relation.name, attribute.name)] = all_int
-            cache[("null", relation.name, attribute.name)] = no_null
-    return cache
+    verdicts: dict[Any, bool] = {}
+    for attribute, types in zip(relation.attributes, column_types):
+        verdicts[("int", relation.name, attribute.name)] = types <= {int}
+        verdicts[("null", relation.name, attribute.name)] = type(None) not in types
+    return verdicts
 
 
 def pushdown_requirements(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import BackendError, is_consistent, repair_database
+from repro import BackendError, KeyViolationError, is_consistent, repair_database
 from repro.storage import CsvBackend, ExportMode
 from repro.system import RepairConfig, RepairProgram
 from repro.workloads import client_buy_workload
@@ -50,9 +50,25 @@ class TestLoad:
     def test_non_integer_flexible_cell(self, csv_setup):
         workload, backend = csv_setup
         path = backend.directory / "Client.csv"
+        line = len(path.read_text().splitlines()) + 1
         path.write_text(path.read_text() + "99,young,10\n")
-        with pytest.raises(BackendError, match="integer"):
+        with pytest.raises(BackendError, match="integer") as caught:
             backend.load_instance(workload.schema)
+        assert str(caught.value).startswith(f"{path}:{line}: Client.a: ")
+
+    def test_duplicate_key_names_file_and_line(self, csv_setup):
+        workload, backend = csv_setup
+        path = backend.directory / "Client.csv"
+        lines = path.read_text().splitlines()
+        first_id = lines[1].split(",")[0]
+        # a blank line before the duplicate: line numbers count it
+        path.write_text("\n".join(lines) + f"\n\n{first_id},30,10\n")
+        with pytest.raises(KeyViolationError) as caught:
+            backend.load_instance(workload.schema)
+        assert str(caught.value) == (
+            f"{path}:{len(lines) + 2}: duplicate key ({int(first_id)},) "
+            "in relation 'Client'"
+        )
 
     def test_empty_file(self, csv_setup):
         workload, backend = csv_setup
