@@ -62,18 +62,24 @@ def predicted_max_frequency(
     (condition (b) failure).
     """
     overlap = builtin_attribute_overlap(constraints, schema)
-    predicted: dict[str, int] = {}
-    for constraint in constraints:
-        builtin_attributes = constraint.attributes_in_builtins(schema)
-        total = 0
-        for atom in constraint.relation_atoms:
-            relation = schema.relation(atom.relation_name)
-            for attribute in relation.attributes:
-                if not attribute.is_flexible:
-                    continue
-                pair = (relation.name, attribute.name)
-                if pair not in builtin_attributes:
-                    continue
+    return {
+        constraint.label: constraint_frequency(constraint, schema, overlap)
+        for constraint in constraints
+    }
+
+
+def constraint_frequency(
+    constraint: DenialConstraint,
+    schema: Schema,
+    overlap: dict[tuple[str, str], int],
+) -> int:
+    """One constraint's bound, given :func:`builtin_attribute_overlap`."""
+    builtin_attributes = constraint.attributes_in_builtins(schema)
+    total = 0
+    for atom in constraint.relation_atoms:
+        relation = schema.relation(atom.relation_name)
+        for attribute in relation.attributes:
+            pair = (relation.name, attribute.name)
+            if attribute.is_flexible and pair in builtin_attributes:
                 total += overlap.get(pair, 0)
-        predicted[constraint.label] = total
-    return predicted
+    return total

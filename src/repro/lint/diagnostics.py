@@ -26,10 +26,9 @@ LINT051   warning   SQL pushdown compilability is data-dependent (may
                     fall back to the kernel/interpreted engines)
 LINT060   info      constraint eliminated by the plan compiler (dead
                     body: its violation set is empty on every instance)
-LINT061   info/     plan compiler downgraded an engine for a constraint
-          warning   (info: engine unavailable in this environment;
-                    warning: execution is data-dependent, which
-                    ``repro compile --strict`` refuses)
+LINT061   warning   compiled (kernel/pushdown) execution of a constraint
+                    is data-dependent, which ``repro compile --strict``
+                    refuses
 LINT062   warning   plan cache entry is stale (fingerprint mismatch);
                     the plan was recompiled instead of reused
 ========  ========  =====================================================

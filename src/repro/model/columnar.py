@@ -24,7 +24,7 @@ engine treats as "stay on the interpreted path".
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import KernelError
 from repro.model.instance import DatabaseInstance
@@ -120,10 +120,7 @@ class ColumnarStore:
     The store does *not* hold the instance (see :func:`store_for`'s
     lifetime note); callers pass it to :meth:`relation`, which compares
     the instance's per-relation ``data_version`` against the version the
-    cached snapshot was built at and rebuilds on mismatch.  The
-    ``notify_*`` methods mirror ``JoinIndexCache``'s maintenance hooks
-    for callers that mutate tables behind the instance's back: they drop
-    the affected snapshot so the next access rebuilds.
+    cached snapshot was built at and rebuilds on mismatch.
     """
 
     def __init__(self) -> None:
@@ -148,52 +145,6 @@ class ColumnarStore:
         snapshot = ColumnarRelation(relation_name, instance.tuples(relation_name))
         self._snapshots[relation_name] = (version, snapshot)
         return snapshot
-
-    # -- explicit invalidation hooks (JoinIndexCache parity) -----------------
-
-    def invalidate(self, relation_name: str | None = None) -> None:
-        """Drop one relation's snapshot, or all of them."""
-        if relation_name is None:
-            self._snapshots.clear()
-        else:
-            self._snapshots.pop(relation_name, None)
-
-    def notify_insert(self, tup: Tuple) -> None:
-        """Invalidate after an out-of-band insertion."""
-        self.invalidate(tup.relation.name)
-
-    def notify_remove(self, tup: Tuple) -> None:
-        """Invalidate after an out-of-band deletion."""
-        self.invalidate(tup.relation.name)
-
-    def notify_replace(self, old: Tuple, new: Tuple) -> None:
-        """Invalidate after an out-of-band in-place update."""
-        self.invalidate(old.relation.name)
-        self.invalidate(new.relation.name)
-
-    def rekey(
-        self, instance: DatabaseInstance, drop: Iterable[str] = ()
-    ) -> None:
-        """Re-stamp cached snapshots with ``instance``'s version counters.
-
-        Used when warm snapshots are carried over to a *content-identical*
-        successor instance whose version counters restarted (instance
-        copies reset them): relations named in ``drop`` lose their
-        snapshot, every other cached snapshot is re-keyed to the new
-        instance's current version so the next access is a hit.  Callers
-        own the content-identity precondition.
-        """
-        for relation_name in drop:
-            self._snapshots.pop(relation_name, None)
-        for relation_name, (_version, snapshot) in list(self._snapshots.items()):
-            self._snapshots[relation_name] = (
-                instance.data_version(relation_name), snapshot
-            )
-
-    @property
-    def cached_relations(self) -> tuple[str, ...]:
-        """Which snapshots currently exist (diagnostics/tests)."""
-        return tuple(self._snapshots)
 
 
 #: id(instance) -> (weakref to the instance, its store).  The weakref both
@@ -220,44 +171,4 @@ def store_for(instance: DatabaseInstance) -> ColumnarStore:
     except TypeError:  # pragma: no cover - DatabaseInstance is weakref-able
         return store
     _STORES[key] = (ref, store)
-    return store
-
-
-def transfer_store(
-    old_instance: DatabaseInstance,
-    new_instance: DatabaseInstance,
-    changed_relations: Iterable[str] = (),
-) -> ColumnarStore:
-    """Carry one instance's warm snapshots over to its successor.
-
-    The incremental repairer historically swapped instance objects when
-    applying a repair, which made every kernel snapshot die with the old
-    object even though only the repaired relations actually changed.
-    This re-homes the old instance's store under the new object, drops
-    the snapshots of ``changed_relations``, and re-keys the surviving
-    ones to the new instance's version counters (an instance copy resets
-    them, so raw version comparison across the swap would be
-    meaningless).  Precondition: the two instances agree on every
-    relation *not* named in ``changed_relations``.
-
-    Returns the (possibly empty) store now serving ``new_instance``.
-    """
-    if old_instance is new_instance:
-        store = store_for(new_instance)
-        store.rekey(new_instance, drop=changed_relations)
-        return store
-    key = id(old_instance)
-    entry = _STORES.pop(key, None)
-    if entry is None or entry[0]() is not old_instance:
-        return store_for(new_instance)
-    store = entry[1]
-    store.rekey(new_instance, drop=changed_relations)
-    new_key = id(new_instance)
-    try:
-        ref = weakref.ref(
-            new_instance, lambda _ref, _key=new_key: _STORES.pop(_key, None)
-        )
-    except TypeError:  # pragma: no cover - DatabaseInstance is weakref-able
-        return store
-    _STORES[new_key] = (ref, store)
     return store

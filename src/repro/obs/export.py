@@ -3,7 +3,7 @@
 Three output forms, one input (:class:`~repro.obs.spans.Trace`):
 
 * :func:`render_tree` - an indented wall/CPU breakdown for terminals
-  (what ``repro-repair --trace`` prints);
+  (what ``repro repair --trace`` prints);
 * :meth:`Trace.to_dict` / :func:`load_trace` - the native JSON form,
   lossless round-trip;
 * :func:`chrome_trace` - the Chrome trace-event format (open in

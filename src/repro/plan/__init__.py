@@ -1,16 +1,19 @@
 """Static constraint-program compilation (``repro compile``).
 
-A compiler from ``(schema, constraint set, engine availability)`` to a
-serializable, content-fingerprinted
-:class:`~repro.plan.program.CompiledProgram`: the paper's static
-properties (locality, the max-frequency bound ``f``, tractable engine
-classes) are all derivable before any data loads, so they are derived
-*once* and the runtime executes from the artifact -
+A compiler from ``(schema, constraint set)`` to a serializable,
+content-fingerprinted :class:`~repro.plan.program.CompiledProgram`: the
+paper's static properties (the Section-2 locality conditions, the
+max-frequency bound ``f``, constraints whose bodies can never be
+satisfied) are all derivable before any data loads, so they are derived
+*once* and the runtime reuses the artifact -
 ``repair_database(plan=...)``,
 :class:`~repro.repair.incremental.IncrementalRepairer` and
 :class:`~repro.repair.streaming.StreamingRepairer` skip per-call
 re-analysis, and an on-disk cache (:class:`~repro.plan.cache.PlanCache`)
 makes the artifact durable across processes.
+
+Which detection engine runs stays a runtime decision of
+:mod:`repro.violations.detector`: it needs the loaded instance.
 
 Hard contract: planned and unplanned runs produce **byte-identical**
 repairs (property-tested across detection × solver engines), and a plan
@@ -20,7 +23,7 @@ whose fingerprint no longer matches the live inputs is refused with
 
 from repro.exceptions import PlanError, StalePlanError
 from repro.plan.cache import PlanCache, default_cache_dir
-from repro.plan.compiler import compile_program, default_availability
+from repro.plan.compiler import compile_program
 from repro.plan.explain import render_plan_text
 from repro.plan.program import (
     DOWNGRADED,
@@ -31,10 +34,6 @@ from repro.plan.program import (
     EnginePlan,
     SolverPlan,
     program_fingerprint,
-)
-from repro.plan.runtime import (
-    planned_find_all_violations,
-    planned_find_violations,
 )
 
 __all__ = [
@@ -49,10 +48,7 @@ __all__ = [
     "SolverPlan",
     "StalePlanError",
     "compile_program",
-    "default_availability",
     "default_cache_dir",
-    "planned_find_all_violations",
-    "planned_find_violations",
     "program_fingerprint",
     "render_plan_text",
 ]

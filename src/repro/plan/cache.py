@@ -1,9 +1,9 @@
-"""On-disk plan cache keyed by content fingerprint + engine availability.
+"""On-disk plan cache keyed by content fingerprint.
 
-Cache layout: one JSON artifact per ``(fingerprint, availability)``
-pair, named ``<fingerprint>-<availability_signature>.json`` under the
-cache directory.  The directory resolves, in order, from the explicit
-argument, the ``REPRO_PLAN_CACHE`` environment variable,
+Cache layout: one JSON artifact per fingerprint, named
+``<fingerprint>.json`` under the cache directory.  The directory
+resolves, in order, from the explicit argument, the
+``REPRO_PLAN_CACHE`` environment variable,
 ``$XDG_CACHE_HOME/repro/plans``, and ``~/.cache/repro/plans``.
 
 Hits and misses surface as :mod:`repro.obs` counters (``plan_cache_hits``
@@ -14,15 +14,16 @@ swallows them at zero cost); a long-lived owner like the
 :class:`~repro.obs.metrics.MetricsRegistry` at construction so counters
 accumulate across jobs rather than per traced run.  A cached file whose
 embedded fingerprint disagrees
-with the requested one (hand-edited, corrupted, truncated) counts as
-*stale* (``LINT062``) and is treated as a miss - it is never applied.
+with the requested one (hand-edited, corrupted, truncated), or written
+in another plan format version, counts as *stale* (``LINT062``) and is
+treated as a miss - it is never applied; ``get_or_compile`` then
+recompiles and overwrites it.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-
 from typing import Sequence
 
 from repro.constraints.denial import DenialConstraint
@@ -30,12 +31,8 @@ from repro.exceptions import PlanError
 from repro.model.schema import Schema
 from repro.obs import current_tracer
 from repro.obs.metrics import MetricsRegistry
-from repro.plan.compiler import compile_program, default_availability
-from repro.plan.program import (
-    CompiledProgram,
-    availability_signature,
-    program_fingerprint,
-)
+from repro.plan.compiler import compile_program
+from repro.plan.program import CompiledProgram, program_fingerprint
 
 
 def default_cache_dir() -> Path:
@@ -73,23 +70,19 @@ class PlanCache:
             return self._metrics
         return current_tracer().metrics
 
-    def path_for(self, fingerprint: str, availability_sig: str) -> Path:
-        """Where the artifact for one cache key lives."""
-        return self.directory / f"{fingerprint}-{availability_sig}.json"
+    def path_for(self, fingerprint: str) -> Path:
+        """Where the artifact for one fingerprint lives."""
+        return self.directory / f"{fingerprint}.json"
 
     def load(
         self,
         schema: Schema,
         constraints: Sequence[DenialConstraint],
-        *,
-        kernel: bool | None = None,
-        pushdown: bool | None = None,
     ) -> CompiledProgram | None:
         """A cached plan for the live inputs, or ``None`` on a miss."""
         metrics = self.metrics
-        availability = default_availability(kernel=kernel, pushdown=pushdown)
         fingerprint = program_fingerprint(schema, tuple(constraints))
-        path = self.path_for(fingerprint, availability_signature(availability))
+        path = self.path_for(fingerprint)
         try:
             text = path.read_text(encoding="utf-8")
         except OSError:
@@ -112,9 +105,7 @@ class PlanCache:
     def store(self, program: CompiledProgram) -> Path:
         """Persist a compiled plan; atomic within the cache directory."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(
-            program.fingerprint, program.availability_signature
-        )
+        path = self.path_for(program.fingerprint)
         tmp = path.with_suffix(".json.tmp")
         tmp.write_text(program.to_json(), encoding="utf-8")
         os.replace(tmp, path)
@@ -125,8 +116,6 @@ class PlanCache:
         schema: Schema,
         constraints: Sequence[DenialConstraint],
         *,
-        kernel: bool | None = None,
-        pushdown: bool | None = None,
         strict: bool = False,
     ) -> "tuple[CompiledProgram, bool]":
         """``(program, hit)``: load from cache or compile and store.
@@ -137,31 +126,12 @@ class PlanCache:
         against the strict gate so ``strict=True`` callers never
         receive a plan a strict compile would have refused.
         """
-        cached = self.load(
-            schema, constraints, kernel=kernel, pushdown=pushdown
-        )
+        cached = self.load(schema, constraints)
         if cached is not None:
-            executed = {e.label for e in cached.executed_entries}
-            conditional = [
-                d
-                for d in cached.lint.by_code("LINT050")
-                if d.constraint in executed
-            ]
-            if strict and conditional:
-                compile_program(
-                    schema,
-                    constraints,
-                    kernel=kernel,
-                    pushdown=pushdown,
-                    strict=True,
-                )  # raises PlanError with the structured diagnostics
+            if strict and any(e.data_dependent for e in cached.executed_entries):
+                # raises PlanError with the structured diagnostics
+                compile_program(schema, constraints, strict=True)
             return cached, True
-        program = compile_program(
-            schema,
-            constraints,
-            kernel=kernel,
-            pushdown=pushdown,
-            strict=strict,
-        )
+        program = compile_program(schema, constraints, strict=strict)
         self.store(program)
         return program, False

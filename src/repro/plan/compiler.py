@@ -1,9 +1,8 @@
 """The static constraint-program compiler.
 
-:func:`compile_program` turns ``(schema, constraints, engine
-availability)`` into a :class:`~repro.plan.program.CompiledProgram` in
-four passes, all pure static analysis over the existing
-:mod:`repro.lint` machinery:
+:func:`compile_program` turns ``(schema, constraints)`` into a
+:class:`~repro.plan.program.CompiledProgram` in four passes, all pure
+static analysis over the existing :mod:`repro.lint` machinery:
 
 1. **canonicalization** - rerun the lint satisfiability/subsumption
    passes; constraints with provably unsatisfiable bodies (``LINT010``,
@@ -15,16 +14,15 @@ four passes, all pure static analysis over the existing
    coverage but not byte-identity of the computed repair, and byte
    parity with the unplanned path is this compiler's hard contract.
    Their lint diagnostics stay in the plan as advisory provenance.
-2. **engine classification** - per-constraint kernel/pushdown
+2. **strict classification** - per-constraint kernel/pushdown
    compilability (:func:`repro.lint.compilability.classify_constraint`)
-   plus the static cost model (:mod:`repro.plan.cost`) produce a ranked
-   engine chain; engines the compile-time environment lacks are dropped
-   with ``LINT061`` records, engines the runtime may refuse for data
-   reasons stay in the chain (the fallback is preserved and recorded at
-   run time).
-3. **solver pre-selection** - locality verdict, the predicted MWSC
-   max-frequency bound ``f`` (:mod:`repro.lint.bounds`), and the
-   flat-vs-object set-cover engine choice are resolved once.
+   records the hard attributes that make compiled execution
+   data-dependent; ``strict=True`` turns them into ``LINT061`` blockers.
+   Which engine actually runs stays a runtime decision of the detector
+   (``engine="auto"``), which needs the loaded instance.
+3. **solver pre-selection** - the locality verdict and the predicted
+   MWSC max-frequency bound ``f`` (:mod:`repro.lint.bounds`) are
+   resolved once.
 4. **fingerprinting** - the canonical JSON of ``(schema, constraints)``
    is hashed (SHA-256) so the runtime can refuse stale plans.
 
@@ -32,8 +30,8 @@ four passes, all pure static analysis over the existing
 program with a constraint whose compiled execution cannot be
 *statically guaranteed* - i.e. its kernel/pushdown classification is
 conditional (``LINT050``/``LINT051``), so the interpreted fallback may
-trigger at runtime.  Environment gaps (NumPy absent) are downgrades,
-not strict failures: they say nothing about the constraint itself.
+trigger at runtime.  A missing optional dependency (NumPy) is not a
+strict failure: it says nothing about the constraint itself.
 """
 
 from __future__ import annotations
@@ -43,12 +41,11 @@ from typing import Iterable
 from repro.constraints.denial import DenialConstraint
 from repro.exceptions import PlanError
 from repro.lint.analyzer import lint_constraints
-from repro.lint.bounds import builtin_attribute_overlap
+from repro.lint.bounds import builtin_attribute_overlap, constraint_frequency
 from repro.lint.compilability import classify_constraint
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.satisfiability import body_is_satisfiable
 from repro.model.schema import Schema
-from repro.plan.cost import estimate_cost, rank_engines
 from repro.plan.program import (
     DOWNGRADED,
     ELIMINATED,
@@ -59,59 +56,12 @@ from repro.plan.program import (
     SolverPlan,
     program_fingerprint,
 )
-from repro.setcover.solvers import resolve_solver_engine
-from repro.violations.kernels import kernel_available
-
-
-def _predicted_frequency(
-    constraint: DenialConstraint,
-    schema: Schema,
-    overlap: dict[tuple[str, str], int],
-) -> int:
-    """Per-constraint static ``f`` bound, keyed by identity not label.
-
-    The body of :func:`repro.lint.bounds.predicted_max_frequency`, run
-    for one constraint: label-keyed dict lookups would conflate distinct
-    constraints that share a name.
-    """
-    builtin_attributes = constraint.attributes_in_builtins(schema)
-    total = 0
-    for atom in constraint.relation_atoms:
-        relation = schema.relation(atom.relation_name)
-        for attribute in relation.attributes:
-            if not attribute.is_flexible:
-                continue
-            pair = (relation.name, attribute.name)
-            if pair in builtin_attributes:
-                total += overlap.get(pair, 0)
-    return total
-
-
-def default_availability(
-    *,
-    kernel: bool | None = None,
-    pushdown: bool | None = None,
-) -> dict[str, bool]:
-    """The compile-time engine-availability map.
-
-    ``kernel`` defaults to the NumPy import probe.  ``pushdown``
-    defaults to ``True``: backend residency is a property of the
-    *instance*, not the configuration, so the plan keeps pushdown in
-    the chains and the runtime skips it (recording the downgrade) for
-    non-resident instances - exactly the ``auto`` engine's gate.
-    """
-    return {
-        "kernel": kernel_available() if kernel is None else bool(kernel),
-        "pushdown": True if pushdown is None else bool(pushdown),
-    }
 
 
 def compile_program(
     schema: Schema,
     constraints: Iterable[DenialConstraint],
     *,
-    kernel: bool | None = None,
-    pushdown: bool | None = None,
     strict: bool = False,
 ) -> CompiledProgram:
     """Compile ``(schema, constraints)`` into a :class:`CompiledProgram`.
@@ -122,7 +72,6 @@ def compile_program(
     is only conditionally compilable (see the module docstring).
     """
     constraints = tuple(constraints)
-    availability = default_availability(kernel=kernel, pushdown=pushdown)
     lint = lint_constraints(schema, constraints)
 
     invalid = lint.by_code("LINT001")
@@ -142,7 +91,9 @@ def compile_program(
     strict_blockers: list[Diagnostic] = []
     entries: list[EnginePlan] = []
     for index, constraint in enumerate(constraints):
-        predicted = _predicted_frequency(constraint, schema, overlap)
+        # Computed per constraint object, not per label: label-keyed
+        # lookups would conflate distinct constraints sharing a name.
+        predicted = constraint_frequency(constraint, schema, overlap)
         if not satisfiable[index]:
             # Exact verdict: the body has no satisfying assignment over
             # the integers, so I(D, ic) = ∅ on every instance and the
@@ -167,45 +118,13 @@ def compile_program(
                     label=constraint.label,
                     text=str(constraint),
                     action=SKIP,
-                    engines=(),
-                    conditional=(),
-                    cost=estimate_cost(constraint).to_dict(),
+                    data_dependent=(),
                     predicted_frequency=predicted,
                 )
             )
             continue
 
         classification = classify_constraint(constraint, schema)
-        estimate = estimate_cost(constraint)
-        chain, dropped = rank_engines(
-            estimate,
-            kernel_available=availability["kernel"],
-            pushdown_available=availability["pushdown"],
-        )
-        conditional = tuple(
-            engine
-            for engine in chain
-            if engine in ("kernel", "pushdown")
-            and not classification.unconditional
-        )
-        for engine in dropped:
-            provenance.append(
-                Diagnostic(
-                    code=DOWNGRADED,
-                    severity=Severity.INFO,
-                    constraint=constraint.label,
-                    message=(
-                        f"{constraint.label}: plan downgraded engine - "
-                        f"{engine} unavailable at compile time, chain is "
-                        f"{'>'.join(chain)}"
-                    ),
-                    details={"index": index, "engine": engine},
-                    suggestion=(
-                        "install the optional dependency to restore the "
-                        f"{engine} engine"
-                    ),
-                )
-            )
         if not classification.unconditional:
             strict_blockers.append(
                 Diagnostic(
@@ -240,9 +159,7 @@ def compile_program(
                 label=constraint.label,
                 text=str(constraint),
                 action=EXECUTE,
-                engines=chain,
-                conditional=conditional,
-                cost=estimate.to_dict(),
+                data_dependent=classification.conditional_attributes,
                 predicted_frequency=predicted,
             )
         )
@@ -262,7 +179,6 @@ def compile_program(
     ]
     executed = [e for e in entries if e.executed]
     solver = SolverPlan(
-        engine=resolve_solver_engine("auto"),
         predicted_max_frequency=max(
             (e.predicted_frequency for e in executed), default=0
         ),
@@ -270,7 +186,6 @@ def compile_program(
     )
     return CompiledProgram(
         fingerprint=program_fingerprint(schema, constraints),
-        availability=availability,
         entries=tuple(entries),
         solver=solver,
         lint=lint,

@@ -2,29 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.plan.program import CompiledProgram
 
 
-def _format_cost(cost: "dict[str, Any]") -> str:
-    """Compact one-line cost summary: signals plus ranked work."""
-    return (
-        f"atoms={cost.get('atoms', '?')} "
-        f"joins={cost.get('join_arity', '?')} "
-        f"class={cost.get('selectivity_class', '?')} "
-        f"work={cost.get('work', '?')}"
-    )
-
-
 def render_plan_text(program: CompiledProgram) -> str:
-    """The explain-plan table: constraint → engine → cost → diagnostics.
+    """The explain-plan table: constraint → action → data-dependent
+    attributes → predicted ``f`` → diagnostics.
 
-    One row per input constraint (skipped entries render with engine
-    ``-``), followed by the solver pre-selection and the provenance /
+    One row per input constraint (eliminated entries show action
+    ``skip``), followed by the solver pre-selection and the provenance /
     lint diagnostic counts.
     """
-    rows: list[tuple[str, str, str, str]] = []
+    rows: list[tuple[str, ...]] = []
     diag_by_label: dict[str, list[str]] = {}
     for diagnostic in (*program.provenance, *program.lint):
         if diagnostic.constraint:
@@ -32,43 +21,34 @@ def render_plan_text(program: CompiledProgram) -> str:
                 diagnostic.code
             )
     for entry in program.entries:
-        engine = "->".join(entry.engines) if entry.engines else "-"
-        if entry.conditional:
-            engine += " (conditional: " + ",".join(entry.conditional) + ")"
         codes = sorted(set(diag_by_label.get(entry.label, [])))
         rows.append(
             (
                 entry.label,
-                engine if entry.executed else f"- ({entry.action})",
-                _format_cost(dict(entry.cost)),
+                entry.action,
+                ",".join(f"{r}.{a}" for r, a in entry.data_dependent) or "-",
+                str(entry.predicted_frequency),
                 ",".join(codes) if codes else "-",
             )
         )
-    headers = ("constraint", "engine", "cost", "diagnostics")
+    headers = ("constraint", "action", "data-dependent", "predicted_f", "diagnostics")
     widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
-        for i in range(4)
+        max(len(header), *(len(row[i]) for row in rows)) if rows else len(header)
+        for i, header in enumerate(headers)
     ]
     lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * widths[i] for i in range(4)),
+        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
+        "  ".join("-" * width for width in widths),
     ]
     for row in rows:
-        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(4)))
+        lines.append(
+            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+        )
     lines.append("")
     lines.append(f"fingerprint : {program.fingerprint}")
     lines.append(
-        "availability: "
-        + ", ".join(
-            f"{name}={'yes' if ok else 'no'}"
-            for name, ok in sorted(program.availability.items())
-        )
-    )
-    lines.append(
-        f"solver      : engine={program.solver.engine} "
-        f"predicted_f={program.solver.predicted_max_frequency} "
-        f"locality_ok={program.solver.locality_ok} "
-        f"decomposition={program.solver.decomposition}"
+        f"solver      : predicted_f={program.solver.predicted_max_frequency} "
+        f"locality_ok={program.solver.locality_ok}"
     )
     lines.append(
         f"entries     : {len(program.executed_entries)} executed, "

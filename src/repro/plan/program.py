@@ -1,20 +1,18 @@
 """The :class:`CompiledProgram` artifact and its content fingerprint.
 
-A compiled program is the *static* half of a repair run: everything the
-engine can derive from ``(schema, constraint set, engine availability)``
-alone, frozen into a serializable artifact so that per-call re-analysis
-(lint passes, locality checking, engine classification, solver-engine
-resolution) happens once per configuration instead of once per
-``repair_database`` call.
+A compiled program is the *static* half of a repair run: everything
+that follows from ``(schema, constraint set)`` alone, frozen into a
+serializable artifact so that per-call re-analysis (lint passes,
+locality checking, dead-constraint elimination, the frequency bound
+``f``) happens once per configuration instead of once per
+``repair_database`` call.  Which detection engine runs is a runtime
+fact - it depends on the loaded instance - and is not part of a plan.
 
 The artifact is keyed by a **content fingerprint**: a SHA-256 digest
 over the canonical JSON form of the schema and the constraint list (in
 order - violation output order follows constraint order, so order is
-semantic).  Engine *availability* (NumPy importable, pushdown assumed)
-deliberately stays **out** of the fingerprint: it keys the on-disk cache
-separately (:mod:`repro.plan.cache`), so a dependency flip invalidates
-cached engine rankings without pretending the constraint program itself
-changed.
+semantic).  The on-disk cache (:mod:`repro.plan.cache`) stores one
+artifact per fingerprint.
 
 A plan handed to the runtime is validated with :meth:`CompiledProgram.
 require_match` - a fingerprint mismatch raises
@@ -35,11 +33,11 @@ from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.model.schema import Schema
 
 #: Serialization format version; bumped on incompatible artifact changes.
-PLAN_FORMAT_VERSION = 1
+PLAN_FORMAT_VERSION = 2
 
 #: Plan provenance codes (continuing the stable ``LINTxxx`` space).
 ELIMINATED = "LINT060"  # constraint eliminated by plan (dead body)
-DOWNGRADED = "LINT061"  # plan dropped a statically unavailable engine
+DOWNGRADED = "LINT061"  # compiled execution is data-dependent (--strict)
 STALE = "LINT062"       # plan fingerprint / cache entry is stale
 
 #: Entry actions.
@@ -102,35 +100,23 @@ def program_fingerprint(
     return hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
 
 
-def availability_signature(availability: Mapping[str, bool]) -> str:
-    """Short digest of an engine-availability map (cache key component)."""
-    payload = canonical_json({k: bool(v) for k, v in availability.items()})
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-
-
 @dataclass(frozen=True)
 class EnginePlan:
     """The static verdict for one constraint.
 
-    ``engines`` is the ranked execution chain (most to least preferred);
-    the runtime tries it left to right, falling through on
-    :class:`~repro.exceptions.KernelError` /
-    :class:`~repro.exceptions.PushdownError`, so the chain always ends
-    in ``"interpreted"`` for executed entries.  ``conditional`` names
-    chain engines whose execution is data-dependent (``LINT050`` /
-    ``LINT051``): statically admissible, but the runtime may refuse
-    them.  ``cost`` carries the static estimate that produced the
-    ranking (atom count, join arity, selectivity class, per-engine
-    scores).
+    ``action`` is ``"execute"`` or ``"skip"`` (a dead body, ``LINT060``).
+    ``data_dependent`` lists the ``(relation, attribute)`` pairs that
+    make kernel/pushdown execution data-dependent (``LINT050`` /
+    ``LINT051``): the runtime may fall back to the interpreted engine
+    for this constraint.  ``predicted_frequency`` is the constraint's
+    share of the static ``f`` bound.
     """
 
     index: int
     label: str
     text: str
     action: str
-    engines: tuple[str, ...]
-    conditional: tuple[str, ...]
-    cost: Mapping[str, Any]
+    data_dependent: tuple[tuple[str, str], ...]
     predicted_frequency: int
 
     @property
@@ -144,9 +130,7 @@ class EnginePlan:
             "label": self.label,
             "text": self.text,
             "action": self.action,
-            "engines": list(self.engines),
-            "conditional": list(self.conditional),
-            "cost": dict(self.cost),
+            "data_dependent": [list(pair) for pair in self.data_dependent],
             "predicted_frequency": self.predicted_frequency,
         }
 
@@ -157,47 +141,38 @@ class EnginePlan:
             label=str(data["label"]),
             text=str(data["text"]),
             action=str(data["action"]),
-            engines=tuple(str(e) for e in data["engines"]),
-            conditional=tuple(str(e) for e in data["conditional"]),
-            cost=dict(data["cost"]),
+            data_dependent=tuple(
+                (str(relation), str(attribute))
+                for relation, attribute in data["data_dependent"]
+            ),
             predicted_frequency=int(data["predicted_frequency"]),
         )
 
 
 @dataclass(frozen=True)
 class SolverPlan:
-    """Static solver-engine and decomposition pre-selection.
+    """Static solver pre-selection.
 
-    ``engine`` is the pre-resolved set-cover engine (what
-    ``resolve_solver_engine("auto")`` would pick at runtime);
-    ``predicted_max_frequency`` the static bound on the MWSC element
+    ``predicted_max_frequency`` is the static bound on the MWSC element
     frequency ``f`` (the layer algorithm's approximation factor);
     ``locality_ok`` whether the Section-2 locality conditions all hold,
-    letting the runtime skip ``check_local_set`` re-analysis;
-    ``decomposition`` the pre-selected solving strategy over connected
-    components.
+    letting the runtime skip ``check_local_set`` re-analysis.
     """
 
-    engine: str
     predicted_max_frequency: int
     locality_ok: bool
-    decomposition: str = "connected-components"
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "engine": self.engine,
             "predicted_max_frequency": self.predicted_max_frequency,
             "locality_ok": self.locality_ok,
-            "decomposition": self.decomposition,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SolverPlan":
         return cls(
-            engine=str(data["engine"]),
             predicted_max_frequency=int(data["predicted_max_frequency"]),
             locality_ok=bool(data["locality_ok"]),
-            decomposition=str(data.get("decomposition", "connected-components")),
         )
 
 
@@ -234,11 +209,10 @@ class CompiledProgram:
     input order (dead constraints are present with ``action="skip"`` so
     indices line up); ``solver`` the static solver pre-selection;
     ``lint`` the full lint report the compiler ran; ``provenance`` the
-    plan-added diagnostics (``LINT060``/``LINT061``).
+    plan-added diagnostics (``LINT060``).
     """
 
     fingerprint: str
-    availability: Mapping[str, bool]
     entries: tuple[EnginePlan, ...]
     solver: SolverPlan
     lint: LintReport = field(compare=False)
@@ -256,11 +230,6 @@ class CompiledProgram:
     def skipped_entries(self) -> tuple[EnginePlan, ...]:
         """Entries statically eliminated from execution."""
         return tuple(e for e in self.entries if not e.executed)
-
-    @property
-    def availability_signature(self) -> str:
-        """Cache-key component for the availability map."""
-        return availability_signature(self.availability)
 
     def entry(self, index: int) -> EnginePlan:
         """The entry for the ``index``-th input constraint."""
@@ -301,7 +270,6 @@ class CompiledProgram:
         return {
             "version": self.version,
             "fingerprint": self.fingerprint,
-            "availability": {k: bool(v) for k, v in self.availability.items()},
             "entries": [entry.to_dict() for entry in self.entries],
             "solver": self.solver.to_dict(),
             "lint": self.lint.to_dict(),
@@ -321,9 +289,6 @@ class CompiledProgram:
             )
         return cls(
             fingerprint=str(data["fingerprint"]),
-            availability={
-                str(k): bool(v) for k, v in dict(data["availability"]).items()
-            },
             entries=tuple(
                 EnginePlan.from_dict(entry) for entry in data["entries"]
             ),

@@ -133,16 +133,12 @@ def repair_database(
         when the plan proved it, statically dead constraints are
         eliminated from detection and verification (provably
         byte-identical - their violation sets are empty on every
-        instance), the solver engine resolves from the plan when the
-        caller leaves ``solver_engine="auto"``, and - with
-        ``engine="auto"`` - each constraint runs its planned engine
-        chain with the runtime-refusal fallback preserved and recorded
-        (``plan_engine_downgrades`` counter).  An explicit ``engine``
-        overrides the planned chains.  A plan whose fingerprint does
-        not match raises :class:`~repro.exceptions.StalePlanError`;
-        ``simplify=True`` is incompatible (it would change the
-        constraint set out from under the fingerprint).  Planned and
-        unplanned runs produce byte-identical repairs.
+        instance).  Detection runs the same ``engine`` as without a
+        plan.  A plan whose fingerprint does not match raises
+        :class:`~repro.exceptions.StalePlanError`; ``simplify=True`` is
+        incompatible (it would change the constraint set out from under
+        the fingerprint).  Planned and unplanned runs produce
+        byte-identical repairs.
 
     Returns
     -------
@@ -162,8 +158,6 @@ def repair_database(
                 "set; compile the simplified set instead"
             )
         plan.require_match(instance.schema, constraints)
-        if solver_engine == "auto":
-            solver_engine = plan.solver.engine
     if preflight:
         from repro.exceptions import LintError
         from repro.lint.analyzer import lint_constraints
@@ -192,6 +186,12 @@ def repair_database(
         from repro.constraints.simplify import simplify_constraints
 
         constraints = simplify_constraints(constraints)
+    # Statically dead constraints can never be violated, so a planned run
+    # detects and verifies only the executed subset (identical verdicts,
+    # less work).
+    executed = (
+        plan.executed_constraints(constraints) if plan is not None else constraints
+    )
     metric = get_metric(metric)
     solver_engine = resolve_solver_engine(solver_engine)
     tracer = as_tracer(trace)
@@ -216,22 +216,7 @@ def repair_database(
         started = time.perf_counter()
         with tracer.span("detect", category="stage") as detect_span:
             if violations is None:
-                if plan is not None and engine == "auto":
-                    from repro.plan.runtime import planned_find_all_violations
-
-                    violations = planned_find_all_violations(
-                        instance, constraints, plan
-                    )
-                elif plan is not None:
-                    # Explicit engine request wins over the planned
-                    # chains; dead constraints stay eliminated.
-                    violations = find_all_violations(
-                        instance, plan.executed_constraints(constraints), engine=engine
-                    )
-                else:
-                    violations = find_all_violations(
-                        instance, constraints, engine=engine
-                    )
+                violations = find_all_violations(instance, executed, engine=engine)
             detect_span.tag(violations=len(violations))
         if tracer.enabled:
             from repro.violations.degree import degree_of_database
@@ -312,20 +297,10 @@ def repair_database(
             # backend-resident, so a strict pushdown request downgrades to
             # auto here instead of failing its own verification.
             verify_engine = "auto" if engine == "pushdown" else engine
-            # Statically dead constraints can never be violated, so the
-            # planned path verifies only the executed subset (identical
-            # verdict, less work).
-            verify_constraints = (
-                plan.executed_constraints(constraints)
-                if plan is not None
-                else constraints
-            )
             with tracer.span("verify", category="stage") as verify_span:
-                if not is_consistent(
-                    repaired, verify_constraints, engine=verify_engine
-                ):
+                if not is_consistent(repaired, executed, engine=verify_engine):
                     remaining = find_all_violations(
-                        repaired, verify_constraints, engine=verify_engine
+                        repaired, executed, engine=verify_engine
                     )
                     raise RepairError(
                         f"repair left {len(remaining)} violations - the constraint "

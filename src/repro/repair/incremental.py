@@ -34,7 +34,6 @@ from repro.constraints.denial import DenialConstraint
 from repro.constraints.locality import check_local_set
 from repro.exceptions import RepairError
 from repro.fixes.distance import CITY_DISTANCE, DistanceMetric, get_metric
-from repro.model.columnar import transfer_store
 from repro.model.instance import DatabaseInstance
 from repro.model.tuples import Tuple
 from repro.obs import Tracer, as_tracer, normalize_solver_stats
@@ -79,14 +78,12 @@ class IncrementalRepairer:
         self._constraints = tuple(constraints)
         # A precompiled plan is validated once for the repairer's whole
         # lifetime: every commit round then reuses its static analysis
-        # (locality proof, solver pre-selection, dead-constraint
-        # elimination) instead of re-deriving it.  A stale plan raises
-        # StalePlanError here, before any state is built.
+        # (locality proof, dead-constraint elimination) instead of
+        # re-deriving it.  A stale plan raises StalePlanError here,
+        # before any state is built.
         self._plan = plan
         if plan is not None:
             plan.require_match(instance.schema, self._constraints)
-            if solver_engine == "auto":
-                solver_engine = plan.solver.engine
         # Statically dead constraints have empty violation sets on every
         # instance, so all detection (initial, anchored, verify) runs on
         # the executed subset - byte-identical, less work per round.
@@ -133,7 +130,7 @@ class IncrementalRepairer:
                     check_locality=False,
                 )
                 cover = self._solve(problem.setcover)
-                self._instance, _, _ = apply_cover(problem, cover)
+                apply_cover(problem, cover, in_place=True)
         self._staged: list[Tuple] = []
         # Persistent join indexes keep anchored detection sublinear across
         # commits; built lazily on the (now consistent) working instance.
@@ -198,11 +195,13 @@ class IncrementalRepairer:
         that defeats the purpose of incrementality, so it is off by
         default and exercised in tests.
 
-        ``snapshot=False`` is the sustained-throughput mode: the result's
-        ``repaired`` field is ``None`` (read :attr:`instance` on demand)
-        and the repair is applied *in place* instead of copy-on-apply, so
-        a commit round costs O(|Δ| + neighbourhood) instead of O(|D|).
-        The committed content is byte-identical either way.
+        The repair is applied *in place* to the working instance.
+        ``snapshot=True`` returns a copy of the committed instance in the
+        result's ``repaired`` field; ``snapshot=False`` is the
+        sustained-throughput mode: ``repaired`` is ``None`` (read
+        :attr:`instance` on demand), so a commit round costs
+        O(|Δ| + neighbourhood) instead of O(|D|).  The committed content
+        is byte-identical either way.
         """
         self._rounds += 1
         with ExitStack() as ctx:
@@ -255,13 +254,13 @@ class IncrementalRepairer:
                 cover = self._solve(problem.setcover)
                 solve_span.tag(weight=cover.weight, selected=len(cover.selected))
             with self._tracer.span("apply", category="stage") as apply_span:
-                repaired, changes, distance = self._apply(problem, cover, snapshot)
+                changes, distance = self._apply(problem, cover)
                 apply_span.tag(changes=len(changes), distance=distance)
             if verify:
                 with self._tracer.span("verify", category="stage"):
                     self._verify()
             return RepairResult(
-                repaired=repaired.copy() if snapshot else None,
+                repaired=self._instance.copy() if snapshot else None,
                 algorithm=cover.algorithm,
                 cover_weight=cover.weight,
                 distance=distance,
@@ -273,31 +272,15 @@ class IncrementalRepairer:
                 solver_stats=normalize_solver_stats(dict(cover.stats)),
             )
 
-    def _apply(self, problem, cover, snapshot: bool):
-        """Apply one round's cover and keep the warm caches consistent.
+    def _apply(self, problem, cover):
+        """Apply one round's cover in place and keep the warm caches consistent.
 
-        The snapshot path preserves the historical copy-on-apply swap
-        (and carries the warm columnar store across it via
-        :func:`repro.model.columnar.transfer_store`); the streaming path
-        mutates the working instance in place, so join indexes are
-        maintained from the changes' recorded old values and the columnar
-        store invalidates itself through the bumped data versions.
+        Join indexes are maintained from the changes' recorded old values;
+        the columnar store invalidates the mutated relations itself
+        through their bumped data versions, so untouched relations stay
+        warm.
         """
-        if snapshot:
-            repaired, changes, distance = apply_cover(problem, cover)
-            for ref in {change.ref for change in changes}:
-                self._join_indexes.notify_replace(
-                    self._instance.resolve(ref), repaired.resolve(ref)
-                )
-            transfer_store(
-                self._instance,
-                repaired,
-                {change.ref.relation_name for change in changes},
-            )
-            self._instance = repaired
-            self._join_indexes.rebind(self._instance)
-            return repaired, changes, distance
-        repaired, changes, distance = apply_cover(problem, cover, in_place=True)
+        _, changes, distance = apply_cover(problem, cover, in_place=True)
         old_values_by_ref: dict[Any, dict[str, Any]] = {}
         for change in changes:
             old_values_by_ref.setdefault(change.ref, {})[
@@ -306,7 +289,7 @@ class IncrementalRepairer:
         for ref, old_values in old_values_by_ref.items():
             new = self._instance.resolve(ref)
             self._join_indexes.notify_replace(new.replace(old_values), new)
-        return repaired, changes, distance
+        return changes, distance
 
     @property
     def tracer(self) -> "Tracer":

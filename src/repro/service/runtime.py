@@ -533,20 +533,14 @@ class RepairService:
     def _detect(self, job: Job, plan, engine: str):
         """Detect violations exactly as the engine itself would.
 
-        ``engine="auto"`` takes the planned chains; an explicit engine
-        request runs that engine over the plan's surviving constraints —
-        mirroring :func:`repro.repair.engine.repair_database` so cached
+        The requested engine runs over the plan's surviving constraints,
+        mirroring :func:`repro.repair.engine.repair_database`, so cached
         violations are byte-identical to uncached detection.
         """
-        if engine == "auto":
-            from repro.plan.runtime import planned_find_all_violations
-
-            return planned_find_all_violations(job.instance, job.constraints, plan)
         from repro.violations.detector import find_all_violations
 
-        return find_all_violations(
-            job.instance, plan.executed_constraints(job.constraints), engine=engine
-        )
+        executed = plan.executed_constraints(job.constraints)
+        return find_all_violations(job.instance, executed, engine=engine)
 
 
 def _violations_valid(instance: DatabaseInstance, violations) -> bool:

@@ -73,32 +73,34 @@ def decompose(instance: SetCoverInstance) -> tuple[Component, ...]:
     members: dict[int, list[int]] = {}
     for element in range(instance.n_elements):
         members.setdefault(find(element), []).append(element)
+    # One pass over the sets, bucketed by component root: each bucket
+    # keeps the sets' relative order.
+    buckets: dict[int, list[WeightedSet]] = {}
+    for weighted_set in instance.sets:
+        if weighted_set.elements:
+            buckets.setdefault(find(weighted_set.elements[0]), []).append(
+                weighted_set
+            )
 
     components: list[Component] = []
     for root in sorted(members, key=lambda r: members[r][0]):
         element_ids = tuple(members[root])
         local_of = {e: i for i, e in enumerate(element_ids)}
-        set_ids: list[int] = []
-        local_sets: list[WeightedSet] = []
-        for weighted_set in instance.sets:
-            if not weighted_set.elements:
-                continue
-            if find(weighted_set.elements[0]) != root:
-                continue
-            local_sets.append(
-                WeightedSet(
-                    len(local_sets),
-                    weighted_set.weight,
-                    tuple(local_of[e] for e in weighted_set.elements),
-                    weighted_set.payload,
-                )
+        bucket = buckets.get(root, ())
+        local_sets = [
+            WeightedSet(
+                index,
+                weighted_set.weight,
+                tuple(local_of[e] for e in weighted_set.elements),
+                weighted_set.payload,
             )
-            set_ids.append(weighted_set.set_id)
+            for index, weighted_set in enumerate(bucket)
+        ]
         components.append(
             Component(
                 instance=SetCoverInstance(len(element_ids), local_sets),
                 element_ids=element_ids,
-                set_ids=tuple(set_ids),
+                set_ids=tuple(s.set_id for s in bucket),
             )
         )
     return tuple(components)

@@ -6,7 +6,7 @@ a mapping component loads the data, builds the MWSCP instance, calls the
 solver, and exports the repair.  This package is that architecture:
 :class:`~repro.system.config.RepairConfig` is the configuration file,
 :class:`~repro.system.pipeline.RepairProgram` wires the components, and
-``repro-repair`` (:mod:`repro.system.cli`) is the command-line entry point.
+``repro repair`` (:mod:`repro.system.cli`) is the command-line entry point.
 """
 
 from repro.system.config import RepairConfig

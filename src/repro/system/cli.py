@@ -1,6 +1,6 @@
-"""Command-line entry points: ``repro-repair``, ``repro lint``, ``repro trace``.
+"""The ``repro`` command line: ``repro repair``, ``repro lint``, ``repro trace``, ...
 
-``repro-repair <config.json>`` runs the Figure-1 pipeline from a
+``repro repair <config.json>`` runs the Figure-1 pipeline from a
 configuration file and prints the repair summary.  ``--dry-run`` skips the
 export step; ``--algorithm`` and ``--metric`` override the configured
 choices; ``--changes`` also prints each cell update.  ``--trace`` records
@@ -18,15 +18,15 @@ means no diagnostics at or above ``--fail-on``; 1 means the gate fired;
 2 means a usage or configuration error.
 
 ``repro compile`` runs the static constraint-program compiler
-(:mod:`repro.plan`) over the same sources: canonicalization, per-
-constraint engine classification and cost ranking, and solver
-pre-selection - all before any data loads.  ``--out FILE`` saves the
+(:mod:`repro.plan`) over the same sources: canonicalization, strict
+classification of data-dependent constraints, and solver pre-selection
+- all before any data loads.  ``--out FILE`` saves the
 fingerprinted artifact, ``--strict`` exits 1 when any constraint's
 kernel/pushdown execution is data-dependent (LINT050/051), and
 ``--cache`` routes through the on-disk plan cache.  ``repro
 explain-plan`` renders a plan (from a config, workload, or saved
-artifact) as a ``constraint -> engine chain -> cost -> diagnostics``
-table.
+artifact) as a ``constraint -> action -> data-dependent attributes ->
+predicted f -> diagnostics`` table.
 
 ``repro serve`` runs a batch of repair jobs through the
 repair-as-a-service runtime (:mod:`repro.service`): bounded admission,
@@ -58,7 +58,7 @@ from repro.system.pipeline import RepairProgram
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
-        prog="repro-repair",
+        prog="repro repair",
         description=(
             "Approximate attribute-update repairs of inconsistent databases "
             "(Lopatenko & Bravo, ICDE 2007)."
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable static plan compilation for this run (equivalent to "
         "\"plan\": true in the configuration): the constraint program is "
         "compiled (or loaded from the plan cache) before any data loads "
-        "and the repair executes from the plan",
+        "and the repair reuses its static analysis",
     )
     parser.add_argument(
         "--plan-cache-dir",
@@ -400,8 +400,8 @@ def build_compile_parser() -> argparse.ArgumentParser:
         prog="repro compile",
         description=(
             "Compile (schema, constraints) into a fingerprinted "
-            "CompiledProgram plan artifact: canonicalization, static "
-            "engine classification and cost ranking, solver "
+            "CompiledProgram plan artifact: canonicalization, strict "
+            "classification of data-dependent constraints, solver "
             "pre-selection - without loading any data."
         ),
     )
@@ -518,8 +518,9 @@ def build_explain_plan_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro explain-plan",
         description=(
-            "Render a compiled plan as a table: constraint -> engine "
-            "chain -> static cost estimate -> diagnostics.  Input is a "
+            "Render a compiled plan as a table: constraint -> action -> "
+            "data-dependent attributes -> predicted f -> diagnostics.  "
+            "Input is a "
             "saved artifact (--plan), a configuration file, or a bundled "
             "workload (compiled on the fly)."
         ),
@@ -959,7 +960,7 @@ def repro_main(argv: Sequence[str] | None = None) -> int:
         print(
             "usage: repro {repair,lint,compile,explain-plan,serve,trace} ...\n\n"
             "subcommands:\n"
-            "  repair        run the Figure-1 repair pipeline (see repro-repair)\n"
+            "  repair        run the Figure-1 repair pipeline from a config file\n"
             "  lint          statically analyze a constraint set\n"
             "  compile       compile constraints into a fingerprinted plan\n"
             "  explain-plan  render a compiled plan as a table\n"

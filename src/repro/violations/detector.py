@@ -26,6 +26,8 @@ this *interpreted* enumeration and the columnar *kernel* executor of
 * ``"auto"`` (default) - pushdown when the instance is backend-resident,
   else the kernel when NumPy is importable, falling back per constraint
   to the interpreted path on :class:`KernelError`/:class:`PushdownError`.
+  Each fallback bumps the ``detect_engine_fallbacks{constraint,engine}``
+  counter of an active tracer, ``engine`` naming the one that refused.
 
 All engines produce byte-identical results: each computes the same
 satisfying-assignment witness sets, which then flow through the same
@@ -450,6 +452,13 @@ def find_violations(
         return violations
 
 
+def _count_fallback(constraint: DenialConstraint, engine: str) -> None:
+    """Record that ``engine`` refused ``constraint`` under ``auto``."""
+    current_tracer().metrics.counter(
+        "detect_engine_fallbacks", constraint=constraint.label, engine=engine
+    ).inc()
+
+
 def _find_violations(
     instance: DatabaseInstance,
     constraint: DenialConstraint,
@@ -465,6 +474,7 @@ def _find_violations(
                 raise
             # auto: this constraint is not faithfully executable in the
             # backend - fall back to the in-memory engines per constraint.
+            _count_fallback(constraint, "pushdown")
             resolved = "kernel" if kernel_available() else "interpreted"
         else:
             return _ordered_violation_sets(used_sets, constraint)
@@ -474,6 +484,7 @@ def _find_violations(
         except KernelError:
             if engine == "kernel":
                 raise
+            _count_fallback(constraint, "kernel")
         else:
             return _ordered_violation_sets(used_sets, constraint)
     used_sets = set()

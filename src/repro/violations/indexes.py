@@ -70,15 +70,6 @@ class JoinIndexCache:
 
     # -- maintenance ---------------------------------------------------------------
 
-    def rebind(self, instance: DatabaseInstance) -> None:
-        """Point the cache at a new instance object *with identical content*.
-
-        The incremental repairer swaps instance objects when applying a
-        repair; it notifies the per-tuple changes separately, so the
-        built indexes stay valid.
-        """
-        self._instance = instance
-
     def notify_insert(self, tup: Tuple) -> None:
         """Maintain built indexes after a tuple insertion."""
         for (relation_name, positions), index in self._indexes.items():

@@ -1,10 +1,8 @@
-"""Unit tests for columnar snapshot reuse across instances and commit rounds.
+"""Unit tests for columnar snapshot reuse across commit rounds.
 
-The version-keyed :class:`ColumnarStore` logic (rekey, transfer, the
-per-instance registry) is pure bookkeeping and is tested *without*
-NumPy by planting sentinel snapshots; the tests that build real
-snapshots and drive streaming commit rounds are gated on the kernel
-extra.
+The per-instance store registry is pure bookkeeping and is tested
+*without* NumPy; the tests that build real snapshots and drive streaming
+commit rounds are gated on the kernel extra.
 """
 
 from __future__ import annotations
@@ -12,12 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro import StreamingRepairer
-from repro.model.columnar import (
-    ColumnarStore,
-    kernel_available,
-    store_for,
-    transfer_store,
-)
+from repro.model.columnar import kernel_available, store_for
 from repro.workloads import client_buy_workload
 
 needs_kernel = pytest.mark.skipif(
@@ -30,70 +23,20 @@ def workload():
     return client_buy_workload(20, inconsistency_ratio=0.0, seed=2)
 
 
-def plant(store: ColumnarStore, instance, relation_name: str, marker: object):
-    """Install a sentinel snapshot keyed to the instance's live version."""
-    store._snapshots[relation_name] = (
-        instance.data_version(relation_name),
-        marker,
-    )
-
-
 class TestStoreBookkeeping:
     def test_store_for_is_stable_per_instance(self, workload):
         instance = workload.instance.copy()
         assert store_for(instance) is store_for(instance)
         assert store_for(instance) is not store_for(workload.instance)
 
-    def test_rekey_restamps_and_drops(self, workload):
-        instance = workload.instance.copy()
-        store = ColumnarStore()
-        plant(store, instance, "Client", "client-snap")
-        plant(store, instance, "Buy", "buy-snap")
-        successor = instance.copy()           # version counters reset
-        store.rekey(successor, drop=["Buy"])
-        assert store.cached_relations == ("Client",)
-        assert store._snapshots["Client"] == (
-            successor.data_version("Client"),
-            "client-snap",
-        )
-
-    def test_transfer_rehomes_surviving_snapshots(self, workload):
-        old = workload.instance.copy()
-        store = store_for(old)
-        plant(store, old, "Client", "client-snap")
-        plant(store, old, "Buy", "buy-snap")
-        new = old.copy()
-        transferred = transfer_store(old, new, changed_relations={"Buy"})
-        assert transferred is store
-        assert store_for(new) is store        # re-homed under the successor
-        assert store.cached_relations == ("Client",)
-        # the old instance no longer owns a store with these snapshots.
-        assert store_for(old) is not store
-
-    def test_transfer_to_self_just_drops_changed(self, workload):
-        instance = workload.instance.copy()
-        store = store_for(instance)
-        plant(store, instance, "Client", "client-snap")
-        plant(store, instance, "Buy", "buy-snap")
-        assert transfer_store(instance, instance, {"Client"}) is store
-        assert store.cached_relations == ("Buy",)
-
-    def test_transfer_of_unknown_instance_is_fresh_store(self, workload):
-        old = workload.instance.copy()        # never had a store
-        new = old.copy()
-        store = transfer_store(old, new)
-        assert store.cached_relations == ()
-        assert store_for(new) is store
-
 
 @needs_kernel
 class TestSnapshotReuseAcrossRounds:
     """Warm snapshots survive interleaved streaming commit rounds.
 
-    Snapshot-free rounds keep the instance object and only bump the
-    mutated relation's version (rebuild exactly that one); snapshotting
-    rounds swap instance objects and must carry the untouched snapshots
-    across via :func:`transfer_store`.
+    Every round applies its repair in place: the instance object stays
+    and only the mutated relation's version is bumped, so exactly that
+    snapshot is rebuilt - with or without result snapshots.
     """
 
     def _violating_round(self, streamer):
@@ -112,18 +55,18 @@ class TestSnapshotReuseAcrossRounds:
         assert store.relation(live, "Buy") is buy_snap
         assert store.relation(live, "Client") is not client_snap
 
-    def test_snapshotting_round_transfers_store_across_swap(self, workload):
+    def test_snapshotting_round_keeps_untouched_relation_warm(self, workload):
         streamer = StreamingRepairer(
             workload.instance, workload.constraints, snapshot_results=True
         )
-        old = streamer._repairer._instance
-        store = store_for(old)
-        buy_snap = store.relation(old, "Buy")
+        live = streamer._repairer._instance
+        store = store_for(live)
+        client_snap = store.relation(live, "Client")
+        buy_snap = store.relation(live, "Buy")
         self._violating_round(streamer)
-        new = streamer._repairer._instance
-        assert new is not old                 # the apply swapped instances
-        assert store_for(new) is store
-        assert store.relation(new, "Buy") is buy_snap
+        assert streamer._repairer._instance is live
+        assert store.relation(live, "Buy") is buy_snap
+        assert store.relation(live, "Client") is not client_snap
 
     def test_interleaved_rounds_stay_warm(self, workload):
         streamer = StreamingRepairer(workload.instance, workload.constraints)

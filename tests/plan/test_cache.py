@@ -24,25 +24,16 @@ def _counter(tracer: Tracer, name: str) -> float:
 
 
 class TestCacheKeying:
-    def test_path_embeds_fingerprint_and_availability(self, tmp_path, inputs):
+    def test_path_is_fingerprint_json(self, tmp_path, inputs):
         schema, constraints = inputs
         cache = PlanCache(tmp_path)
         program, hit = cache.get_or_compile(schema, constraints)
         assert not hit
-        path = cache.path_for(
-            program.fingerprint, program.availability_signature
-        )
+        path = cache.path_for(program.fingerprint)
         assert path.exists()
         assert path.parent == tmp_path
-        assert path.name.startswith(program.fingerprint)
-
-    def test_availability_flip_is_a_different_key(self, tmp_path, inputs):
-        schema, constraints = inputs
-        cache = PlanCache(tmp_path)
-        cache.get_or_compile(schema, constraints, kernel=True)
-        _, hit = cache.get_or_compile(schema, constraints, kernel=False)
-        assert not hit  # same program, different availability -> recompile
-        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert path.name == f"{program.fingerprint}.json"
+        assert list(tmp_path.glob("*.json")) == [path]
 
     def test_default_dir_resolution(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "explicit"))
@@ -93,9 +84,7 @@ class TestStaleEntries:
         schema, constraints = inputs
         cache = PlanCache(tmp_path)
         program, _ = cache.get_or_compile(schema, constraints)
-        path = cache.path_for(
-            program.fingerprint, program.availability_signature
-        )
+        path = cache.path_for(program.fingerprint)
         payload = json.loads(path.read_text())
         payload["fingerprint"] = "0" * 64
         path.write_text(json.dumps(payload))
@@ -112,9 +101,7 @@ class TestStaleEntries:
         schema, constraints = inputs
         cache = PlanCache(tmp_path)
         program, _ = cache.get_or_compile(schema, constraints)
-        path = cache.path_for(
-            program.fingerprint, program.availability_signature
-        )
+        path = cache.path_for(program.fingerprint)
         path.write_text("{truncated")
         tracer = Tracer()
         with tracer.activate():
@@ -127,14 +114,34 @@ class TestStaleEntries:
         schema, constraints = inputs
         cache = PlanCache(tmp_path)
         program, _ = cache.get_or_compile(schema, constraints)
-        path = cache.path_for(
-            program.fingerprint, program.availability_signature
-        )
+        path = cache.path_for(program.fingerprint)
         payload = json.loads(path.read_text())
         payload["version"] = 999
         path.write_text(json.dumps(payload))
         _, hit = cache.get_or_compile(schema, constraints)
         assert not hit
+
+    def test_version_1_artifact_is_stale_and_recompiled(self, tmp_path, inputs):
+        schema, constraints = inputs
+        cache = PlanCache(tmp_path)
+        program, _ = cache.get_or_compile(schema, constraints)
+        path = cache.path_for(program.fingerprint)
+        payload = json.loads(path.read_text())
+        payload["version"] = 1
+        payload["availability"] = {"kernel": True, "pushdown": True}
+        path.write_text(json.dumps(payload))
+
+        tracer = Tracer()
+        with tracer.activate():
+            reloaded, hit = cache.get_or_compile(schema, constraints)
+        assert not hit
+        assert _counter(tracer, "plan_cache_stale") == 1
+        assert _counter(tracer, "plan_cache_misses") == 1
+        assert reloaded.to_json() == program.to_json()
+        # the recompiled plan replaced the old artifact on disk
+        assert path.read_text(encoding="utf-8") == program.to_json()
+        _, hit_again = cache.get_or_compile(schema, constraints)
+        assert hit_again
 
 
 class TestStrictThroughCache:

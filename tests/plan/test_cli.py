@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.plan import CompiledProgram
 from repro.system.cli import (
     build_compile_parser,
@@ -46,7 +44,7 @@ class TestCompile:
         out = capsys.readouterr().out
         assert "workload:clientbuy" in out
         assert "fingerprint" in out
-        assert "interpreted" in out
+        assert "execute" in out
 
     def test_config_file_source(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -123,9 +121,14 @@ class TestExplainPlan:
     def test_workload_table(self, capsys):
         assert explain_plan_main(["--workload", "tpch"]) == 0
         out = capsys.readouterr().out
-        assert "constraint" in out and "engine" in out and "cost" in out
-        assert "tq6" in out
-        assert "conditional" in out
+        header = out.splitlines()[1].split()
+        assert header == [
+            "constraint", "action", "data-dependent", "predicted_f", "diagnostics"
+        ]
+        tq6 = next(line for line in out.splitlines() if line.startswith("tq6"))
+        assert tq6.split() == [
+            "tq6", "execute", "Lineitem.linenumber", "4", "LINT050,LINT051"
+        ]
 
     def test_saved_artifact(self, tmp_path, capsys):
         artifact = tmp_path / "plan.json"

@@ -1,4 +1,4 @@
-"""The static compiler: elimination, downgrades, strict gate, solver plan."""
+"""The static compiler: elimination, strict gate, solver plan."""
 
 from __future__ import annotations
 
@@ -6,19 +6,8 @@ import pytest
 
 from repro import parse_denials, repair_database
 from repro.exceptions import PlanError
-from repro.plan import (
-    DOWNGRADED,
-    ELIMINATED,
-    compile_program,
-    default_availability,
-)
-from repro.setcover.solvers import resolve_solver_engine
-from repro.violations.kernels import kernel_available
-from repro.workloads.clientbuy import (
-    CLIENT_BUY_CONSTRAINTS,
-    client_buy_schema,
-    client_buy_workload,
-)
+from repro.plan import DOWNGRADED, ELIMINATED, compile_program
+from repro.workloads.clientbuy import CLIENT_BUY_CONSTRAINTS, client_buy_schema
 from repro.workloads.tpch_like import TPCH_CONSTRAINTS, tpch_like_schema
 
 #: ic_dead's body needs a < 10 and a > 20 simultaneously - unsatisfiable,
@@ -40,7 +29,7 @@ class TestElimination:
         assert len(program.entries) == 3
         dead = program.entry(2)
         assert not dead.executed
-        assert dead.engines == ()
+        assert dead.action == "skip"
         assert [e.label for e in program.executed_entries] == ["ic1", "ic2"]
         codes = [d.code for d in program.provenance]
         assert ELIMINATED in codes
@@ -82,49 +71,16 @@ class TestElimination:
 
 
 class TestEngineClassification:
-    def test_chains_ranked_and_end_interpreted(self):
-        schema = client_buy_schema()
-        constraints = parse_denials(CLIENT_BUY_CONSTRAINTS)
-        program = compile_program(schema, constraints, kernel=True, pushdown=True)
-        for entry in program.executed_entries:
-            assert entry.engines == ("pushdown", "kernel", "interpreted")
-            assert entry.cost["work"] > 0
-            scores = entry.cost["scores"]
-            assert scores["pushdown"] < scores["kernel"] < scores["interpreted"]
-
-    def test_unavailable_kernel_dropped_with_lint061(self):
-        schema = client_buy_schema()
-        constraints = parse_denials(CLIENT_BUY_CONSTRAINTS)
-        program = compile_program(schema, constraints, kernel=False, pushdown=True)
-        for entry in program.executed_entries:
-            assert "kernel" not in entry.engines
-            assert entry.engines[-1] == "interpreted"
-        downgrades = [d for d in program.provenance if d.code == DOWNGRADED]
-        assert len(downgrades) == len(program.executed_entries)
-        assert all(d.details["engine"] == "kernel" for d in downgrades)
-
-    def test_no_engines_available_still_interpreted(self):
-        schema = client_buy_schema()
-        constraints = parse_denials(CLIENT_BUY_CONSTRAINTS)
-        program = compile_program(
-            schema, constraints, kernel=False, pushdown=False
-        )
-        for entry in program.executed_entries:
-            assert entry.engines == ("interpreted",)
-
     def test_conditional_constraint_marked(self):
         schema = client_buy_schema()
         constraints = parse_denials(CONDITIONAL_CONSTRAINT)
-        program = compile_program(schema, constraints, kernel=True, pushdown=True)
+        program = compile_program(schema, constraints)
         (entry,) = program.executed_entries
-        assert set(entry.conditional) == {"kernel", "pushdown"}
-        # conditional engines stay in the chain: fallback preserved
-        assert entry.engines == ("pushdown", "kernel", "interpreted")
-
-    def test_default_availability_probes_environment(self):
-        availability = default_availability()
-        assert availability["kernel"] == kernel_available()
-        assert availability["pushdown"] is True
+        # the hard Buy.id order comparison makes compiled execution
+        # data-dependent; the entry still executes (runtime fallback).
+        assert entry.data_dependent == (("Buy", "id"),)
+        # non-strict compilation records no provenance for it
+        assert [d.code for d in program.provenance] == []
 
 
 class TestStrict:
@@ -143,14 +99,19 @@ class TestStrict:
         schema = client_buy_schema()
         constraints = parse_denials(CLIENT_BUY_CONSTRAINTS)
         program = compile_program(schema, constraints, strict=True)
-        assert all(e.conditional == () for e in program.executed_entries)
+        assert all(e.data_dependent == () for e in program.executed_entries)
 
-    def test_environment_gap_is_not_a_strict_failure(self):
+    def test_environment_gap_is_not_a_strict_failure(self, monkeypatch):
         """A missing optional dependency says nothing about the
         constraint; strict only gates data-dependent classification."""
+        import repro.model.columnar as columnar
+        import repro.violations.kernels as kernels
+
+        for module in (columnar, kernels):
+            monkeypatch.setattr(module, "kernel_available", lambda: False)
         schema = client_buy_schema()
         constraints = parse_denials(CLIENT_BUY_CONSTRAINTS)
-        compile_program(schema, constraints, kernel=False, strict=True)
+        compile_program(schema, constraints, strict=True)
 
     def test_tpch_tq6_blocks_strict(self):
         schema = tpch_like_schema()
@@ -167,13 +128,11 @@ class TestStrict:
 
 
 class TestSolverPlan:
-    def test_solver_pre_resolution(self):
+    def test_locality_and_f_bound_recorded(self):
         schema = client_buy_schema()
         constraints = parse_denials(CLIENT_BUY_CONSTRAINTS)
         program = compile_program(schema, constraints)
-        assert program.solver.engine == resolve_solver_engine("auto")
         assert program.solver.locality_ok is True
-        assert program.solver.decomposition == "connected-components"
         assert program.solver.predicted_max_frequency >= 1
 
     def test_locality_violation_recorded(self):

@@ -15,9 +15,8 @@ from repro.plan import (
     compile_program,
     program_fingerprint,
 )
-from repro.plan.program import availability_signature
 from repro.workloads.clientbuy import CLIENT_BUY_CONSTRAINTS, client_buy_schema
-from repro.workloads.finance import FINANCE_CONSTRAINTS, finance_schema
+from repro.workloads.finance import finance_schema
 
 
 def _clientbuy():
@@ -59,22 +58,19 @@ class TestFingerprint:
             schema, constraints[:-1]
         )
 
-    def test_availability_not_in_fingerprint(self):
-        """A dependency flip re-keys the cache, not the program."""
-        schema, constraints = _clientbuy()
-        with_kernel = compile_program(schema, constraints, kernel=True)
-        without = compile_program(schema, constraints, kernel=False)
-        assert with_kernel.fingerprint == without.fingerprint
-        assert (
-            with_kernel.availability_signature != without.availability_signature
-        )
+    def test_availability_not_in_fingerprint(self, monkeypatch):
+        """Engine availability is a runtime fact: with or without NumPy
+        the compiled artifact - fingerprint included - is the same."""
+        import repro.model.columnar as columnar
+        import repro.violations.kernels as kernels
 
-    def test_availability_signature_is_short_and_stable(self):
-        sig = availability_signature({"kernel": True, "pushdown": False})
-        assert sig == availability_signature(
-            {"pushdown": False, "kernel": True}
-        )
-        assert len(sig) == 12
+        schema, constraints = _clientbuy()
+        with_kernel = compile_program(schema, constraints)
+        for module in (columnar, kernels):
+            monkeypatch.setattr(module, "kernel_available", lambda: False)
+        without = compile_program(schema, constraints)
+        assert with_kernel.fingerprint == without.fingerprint
+        assert with_kernel.to_json() == without.to_json()
 
 
 class TestRoundTrip:
@@ -85,7 +81,6 @@ class TestRoundTrip:
         assert restored.fingerprint == program.fingerprint
         assert restored.entries == program.entries
         assert restored.solver == program.solver
-        assert dict(restored.availability) == dict(program.availability)
         assert restored.version == PLAN_FORMAT_VERSION
         # the lint report is compare=False; check its payload separately
         assert restored.lint.to_dict() == program.lint.to_dict()
@@ -103,6 +98,19 @@ class TestRoundTrip:
         data["version"] = PLAN_FORMAT_VERSION + 1
         with pytest.raises(PlanError, match="version"):
             CompiledProgram.from_dict(data)
+
+    def test_version_1_artifact_refused(self):
+        """Artifacts of the first format (engine chains, cost estimates,
+        an availability map) are refused, not half-read."""
+        schema, constraints = _clientbuy()
+        data = compile_program(schema, constraints).to_dict()
+        data["version"] = 1
+        data["availability"] = {"kernel": True, "pushdown": True}
+        for entry in data["entries"]:
+            entry["engines"] = ["pushdown", "kernel", "interpreted"]
+            entry["cost"] = {"work": 1.0}
+        with pytest.raises(PlanError, match="version 1"):
+            CompiledProgram.from_json(json.dumps(data))
 
     def test_missing_version_refused(self):
         schema, constraints = _clientbuy()
@@ -155,5 +163,5 @@ class TestRequireMatch:
         for index, entry in enumerate(program.entries):
             assert entry.index == index
             assert entry.label == constraints[index].label
-            assert entry.engines[-1] == "interpreted"
+            assert entry.data_dependent == ()
             assert entry.executed

@@ -77,6 +77,30 @@ class TestDecompose:
     def test_empty_instance(self):
         assert decompose(make(0, [])) == ()
 
+    def test_interleaved_sets_keep_relative_order(self):
+        """Sets of different components interleaved in set order land in
+        their own component, in original order, with local ids 0..k."""
+        instance = make(
+            4,
+            [
+                (1.0, [2, 3]),   # component {2,3}
+                (2.0, [0]),      # component {0,1}
+                (3.0, [3]),
+                (4.0, [1, 0]),
+                (5.0, [2]),
+                (6.0, [1]),
+            ],
+        )
+        first, second = decompose(instance)
+        assert first.element_ids == (0, 1)
+        assert first.set_ids == (1, 3, 5)
+        assert [s.set_id for s in first.instance.sets] == [0, 1, 2]
+        assert [s.weight for s in first.instance.sets] == [2.0, 4.0, 6.0]
+        assert [s.elements for s in first.instance.sets] == [(0,), (1, 0), (1,)]
+        assert second.element_ids == (2, 3)
+        assert second.set_ids == (0, 2, 4)
+        assert [s.elements for s in second.instance.sets] == [(0, 1), (1,), (0,)]
+
     def test_histogram(self, two_components):
         components = decompose(two_components)
         assert component_size_histogram(components) == {2: 1, 3: 1}

@@ -1,4 +1,4 @@
-"""Unit tests for the repro-repair and repro lint command-line interfaces."""
+"""Unit tests for the repro repair and repro lint command-line interfaces."""
 
 import json
 
