@@ -11,7 +11,7 @@ every change of a computed repair with the violations it was covering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.constraints.denial import DenialConstraint
 from repro.fixes.mlf import FixCandidate

@@ -6,6 +6,11 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from repro.cardinality.transform import (
+    Mode,
+    build_delta_transform,
+    project_delta,
+)
 from repro.constraints.denial import DenialConstraint
 from repro.fixes.distance import CITY_DISTANCE, DistanceMetric
 from repro.model.instance import DatabaseInstance
@@ -13,11 +18,6 @@ from repro.model.tuples import Tuple
 from repro.obs import Tracer, as_tracer
 from repro.repair.engine import repair_database
 from repro.repair.result import RepairResult
-from repro.cardinality.transform import (
-    Mode,
-    build_delta_transform,
-    project_delta,
-)
 from repro.setcover.solvers import DEFAULT_SOLVER
 
 
@@ -62,7 +62,6 @@ def cardinality_repair(
     table_weights: Mapping[str, float] | None = None,
     metric: str | DistanceMetric = CITY_DISTANCE,
     verify: bool = True,
-    engine: str = "auto",
     solver_engine: str = "auto",
     trace: "bool | Tracer" = False,
 ) -> DeletionRepairResult:
@@ -82,7 +81,7 @@ def cardinality_repair(
     table_weights:
         Per-relation deletion weights ``α_{δ_R}`` (default 1.0): deletions
         from lighter tables are preferred.
-    engine, solver_engine:
+    solver_engine:
         Forwarded to :func:`repro.repair.engine.repair_database` - the
         transformed instance ``D#`` picks its detection and solver
         engines exactly like a direct attribute-update repair.
@@ -93,10 +92,6 @@ def cardinality_repair(
         ``DeletionRepairResult.trace``.  A caller-provided tracer nests
         the run instead (and keeps ownership).
     """
-    # The Δ-transform builds a fresh in-memory D#, never backend-resident,
-    # so a strict pushdown request downgrades to auto for the inner repair.
-    if engine == "pushdown":
-        engine = "auto"
     tracer = as_tracer(trace)
     owns_trace = tracer.enabled and not isinstance(trace, Tracer)
     with ExitStack() as ctx:
@@ -118,7 +113,6 @@ def cardinality_repair(
             # IC# is local by construction (all δ comparisons are '>', joins
             # bind hard attributes in delete mode); mixed mode keeps the check.
             check_locality=(mode == "mixed"),
-            engine=engine,
             solver_engine=solver_engine,
             # Pass the tracer object (not True): the inner repair nests
             # into this trace instead of starting its own.

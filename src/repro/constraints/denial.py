@@ -15,12 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from repro.constraints.atoms import (
-    BuiltinAtom,
-    Comparator,
-    RelationAtom,
-    VariableComparison,
-)
+from repro.constraints.atoms import BuiltinAtom, RelationAtom, VariableComparison
 from repro.exceptions import ConstraintError
 from repro.model.schema import Schema
 from repro.model.tuples import Tuple

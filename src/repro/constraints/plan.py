@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from repro.constraints.atoms import BuiltinAtom, Comparator, VariableComparison
+from repro.constraints.atoms import Comparator
 from repro.constraints.denial import DenialConstraint
 
 #: Planner preference classes, best first (lower sorts earlier).

@@ -290,8 +290,8 @@ def lint_constraints(
                         ],
                     },
                     suggestion=(
-                        "ensure the listed columns are integer-valued, or "
-                        "request engine=interpreted to silence the fallback"
+                        "ensure the listed columns are integer-valued to "
+                        "keep the constraint on the kernel"
                     ),
                 )
             )

@@ -17,7 +17,7 @@ key                         type     meaning
 ``frequency``               int      max element frequency f (bound factor)
 ``components``              int      decomposition: connected components
 ``oversized_components``    int      components solved by the fallback
-``detection_engine``        str      ``kernel`` / ``interpreted``
+``detection_engine``        str      ``pushdown`` / ``kernel`` / ``interpreted``
 ``solver_engine``           str      ``flat`` / ``object``
 ``incidence``               int      flat engine: CSR incidence size (nnz)
 ==========================  =======  =====================================

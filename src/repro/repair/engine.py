@@ -68,7 +68,6 @@ def repair_database(
     check_locality: bool = True,
     violations: Sequence[ViolationSet] | None = None,
     simplify: bool = False,
-    engine: str = "auto",
     solver_engine: str = "auto",
     preflight: bool = False,
     trace: "bool | Tracer" = False,
@@ -95,21 +94,17 @@ def repair_database(
         Validate locality up front (disabled by the cardinality
         transformation, whose output is local by construction).
     violations:
-        Optionally reuse a precomputed ``I(D, IC)``.
+        Optionally reuse a precomputed ``I(D, IC)``.  Otherwise detection
+        and verification run the detector's ``auto`` engine (SQL pushdown
+        for a backend-resident instance, else the NumPy kernel when
+        importable, else the interpreted enumeration, falling back per
+        constraint); ``solver_stats["detection_engine"]`` names it.
     simplify:
         Preprocess the constraint set first (merge redundant bounds, drop
         unsatisfiable and duplicate denials) - semantics-preserving, see
         :mod:`repro.constraints.simplify`.  Incompatible with a
         precomputed ``violations`` list (whose constraint objects would
         not match the simplified set).
-    engine:
-        Violation-detection engine: ``auto`` (default; SQL pushdown when
-        the instance is backend-resident, else the columnar kernel when
-        NumPy is importable, interpreted otherwise), ``pushdown``,
-        ``kernel``, or ``interpreted``.  All engines yield byte-identical
-        violations, hence identical repairs; the choice also applies to
-        post-repair verification (where ``pushdown`` downgrades to
-        ``auto``: the repaired copy is no longer backend-resident).
     solver_engine:
         Set-cover solver engine: ``auto`` (default; the flat CSR/bitset
         core of :mod:`repro.setcover.flat`), ``flat``, or ``object``
@@ -133,7 +128,7 @@ def repair_database(
         when the plan proved it, statically dead constraints are
         eliminated from detection and verification (provably
         byte-identical - their violation sets are empty on every
-        instance).  Detection runs the same ``engine`` as without a
+        instance).  Detection picks its engine exactly as without a
         plan.  A plan whose fingerprint does not match raises
         :class:`~repro.exceptions.StalePlanError`; ``simplify=True`` is
         incompatible (it would change the constraint set out from under
@@ -194,6 +189,7 @@ def repair_database(
     )
     metric = get_metric(metric)
     solver_engine = resolve_solver_engine(solver_engine)
+    engine = resolve_engine("auto", instance)
     tracer = as_tracer(trace)
     # A trace created here is finished here; a caller-provided tracer is
     # left open so several pipeline calls can share one trace.
@@ -206,7 +202,7 @@ def repair_database(
                 "repair",
                 category="pipeline",
                 algorithm=str(algorithm),
-                engine=resolve_engine(engine, instance),
+                engine=engine,
                 solver_engine=solver_engine,
                 tuples=len(instance),
                 constraints=len(constraints),
@@ -216,7 +212,7 @@ def repair_database(
         started = time.perf_counter()
         with tracer.span("detect", category="stage") as detect_span:
             if violations is None:
-                violations = find_all_violations(instance, executed, engine=engine)
+                violations = find_all_violations(instance, executed)
             detect_span.tag(violations=len(violations))
         if tracer.enabled:
             from repro.violations.degree import degree_of_database
@@ -293,15 +289,9 @@ def repair_database(
 
         verified = False
         if verify:
-            # The repaired copy is a fresh in-memory instance, never
-            # backend-resident, so a strict pushdown request downgrades to
-            # auto here instead of failing its own verification.
-            verify_engine = "auto" if engine == "pushdown" else engine
             with tracer.span("verify", category="stage") as verify_span:
-                if not is_consistent(repaired, executed, engine=verify_engine):
-                    remaining = find_all_violations(
-                        repaired, executed, engine=verify_engine
-                    )
+                if not is_consistent(repaired, executed):
+                    remaining = find_all_violations(repaired, executed)
                     raise RepairError(
                         f"repair left {len(remaining)} violations - the constraint "
                         "set is not local or the cover construction is inconsistent; "
@@ -311,7 +301,7 @@ def repair_database(
                 verify_span.tag(consistent=True)
 
         solver_stats = dict(cover.stats)
-        solver_stats["detection_engine"] = resolve_engine(engine, instance)
+        solver_stats["detection_engine"] = engine
         # Flat-engine covers stamp themselves; anything else (including a
         # flat request served by an object-only solver like lp-rounding)
         # ran the object code path.

@@ -37,8 +37,8 @@ from repro.fixes.distance import CITY_DISTANCE, DistanceMetric, get_metric
 from repro.model.instance import DatabaseInstance
 from repro.model.tuples import Tuple
 from repro.obs import Tracer, as_tracer, normalize_solver_stats
-from repro.repair.builder import build_repair_problem
 from repro.repair.apply import apply_cover
+from repro.repair.builder import build_repair_problem
 from repro.repair.result import RepairResult
 from repro.setcover.solvers import DEFAULT_SOLVER, get_solver, resolve_solver_engine
 from repro.violations.detector import (
@@ -47,7 +47,6 @@ from repro.violations.detector import (
     is_consistent,
 )
 from repro.violations.indexes import JoinIndexCache
-from repro.violations.kernels import resolve_engine
 
 
 class IncrementalRepairer:
@@ -64,7 +63,6 @@ class IncrementalRepairer:
         algorithm: str = DEFAULT_SOLVER,
         metric: str | DistanceMetric = CITY_DISTANCE,
         repair_initial: bool = True,
-        engine: str = "auto",
         solver_engine: str = "auto",
         trace: "bool | Tracer" = False,
         plan: "CompiledProgram | None" = None,
@@ -94,16 +92,11 @@ class IncrementalRepairer:
         )
         self._algorithm = algorithm
         self._metric = get_metric(metric)
-        # Whole-instance passes (initial repair, verify) honour ``engine``
-        # as-is; anchored commit detection hands the detector its join
-        # indexes, so ``auto`` resolves to the interpreted Δ-proportional
-        # path there (a per-commit columnar snapshot rebuild would cost
-        # O(|D|)).  ``engine="kernel"`` forces the kernel everywhere.
-        # The repairer works on private copies that are never backend-
-        # resident, so a strict ``pushdown`` request downgrades to ``auto``
-        # (after name validation) rather than failing every commit.
-        resolve_engine(engine)
-        self._engine = "auto" if engine == "pushdown" else engine
+        # Whole-instance passes (initial repair, verify) run the
+        # detector's ``auto`` engine; anchored commit detection hands the
+        # detector its join indexes, so ``auto`` resolves to the
+        # interpreted Δ-proportional path there (a per-commit columnar
+        # snapshot rebuild would cost O(|D|)).
         self._solver_engine = resolve_solver_engine(solver_engine)
         if self._plan is None or not self._plan.solver.locality_ok:
             # With a plan, locality was proven at compile time; without
@@ -112,9 +105,7 @@ class IncrementalRepairer:
             check_local_set(self._constraints, instance.schema)
 
         self._instance = instance.copy()
-        if not is_consistent(
-            self._instance, self._active_constraints, engine=self._engine
-        ):
+        if not is_consistent(self._instance, self._active_constraints):
             if not repair_initial:
                 raise RepairError(
                     "initial instance is inconsistent; pass "
@@ -220,7 +211,6 @@ class IncrementalRepairer:
                     self._active_constraints,
                     self._staged,
                     raw_indexes=self._join_indexes,
-                    engine=self._engine,
                 )
                 detect_span.tag(violations=len(violations))
             self._staged = []
@@ -310,9 +300,7 @@ class IncrementalRepairer:
         return get_solver(self._algorithm, self._solver_engine)(setcover)
 
     def _verify(self) -> None:
-        remaining = find_all_violations(
-            self._instance, self._active_constraints, engine=self._engine
-        )
+        remaining = find_all_violations(self._instance, self._active_constraints)
         if remaining:
             raise RepairError(
                 f"incremental commit left {len(remaining)} violations; "

@@ -113,12 +113,12 @@ class StreamingRepairer:
     ``commit_interval`` auto-commits a round every that many accepted
     operations (``None`` = only explicit :meth:`flush` / backpressure
     commits), ``backpressure`` picks the full-queue policy.  Remaining
-    keyword arguments (``algorithm``, ``metric``, ``engine``,
-    ``solver_engine``, ``plan``, ...) pass
-    through to the inner :class:`IncrementalRepairer` - in particular a
-    precompiled :class:`~repro.plan.program.CompiledProgram` is
-    validated once and its static analysis reused by *every* commit
-    round of the stream (a stale plan raises
+    keyword arguments (``algorithm``, ``metric``, ``solver_engine``,
+    ``plan``, ...) pass through to the inner :class:`IncrementalRepairer` -
+    in particular a precompiled
+    :class:`~repro.plan.program.CompiledProgram` is validated once and
+    its static analysis reused by *every* commit round of the stream
+    (a stale plan raises
     :class:`~repro.exceptions.StalePlanError` at construction, before
     any operation is accepted).
 

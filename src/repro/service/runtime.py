@@ -87,7 +87,6 @@ ALLOWED_PARAMS = frozenset(
         "verify",
         "check_locality",
         "simplify",
-        "engine",
         "solver_engine",
     }
 )
@@ -485,7 +484,6 @@ class RepairService:
             # cached plan/violations (keyed on the unsimplified fingerprint)
             # cannot be reused - those jobs take the plain engine path.
             simplify = bool(job.params.get("simplify"))
-            engine = job.params.get("engine", "auto")
             plan = None
             if not simplify:
                 plan = cache.get(PLAN, job.fingerprint)
@@ -508,7 +506,7 @@ class RepairService:
                     cache.invalidate(VIOLATIONS, job.fingerprint, job.data_token)
                     violations = None
                 if violations is None:
-                    violations = self._detect(job, plan, engine)
+                    violations = self._detect(job, plan)
                     cache.put(
                         VIOLATIONS, job.fingerprint, violations, job.data_token
                     )
@@ -530,17 +528,17 @@ class RepairService:
             job.trace = tracer.finish()
         return result
 
-    def _detect(self, job: Job, plan, engine: str):
+    def _detect(self, job: Job, plan):
         """Detect violations exactly as the engine itself would.
 
-        The requested engine runs over the plan's surviving constraints,
-        mirroring :func:`repro.repair.engine.repair_database`, so cached
-        violations are byte-identical to uncached detection.
+        The detector's ``auto`` engine runs over the plan's surviving
+        constraints, mirroring :func:`repro.repair.engine.repair_database`,
+        so cached violations are byte-identical to uncached detection.
         """
         from repro.violations.detector import find_all_violations
 
         executed = plan.executed_constraints(job.constraints)
-        return find_all_violations(job.instance, executed, engine=engine)
+        return find_all_violations(job.instance, executed)
 
 
 def _violations_valid(instance: DatabaseInstance, violations) -> bool:

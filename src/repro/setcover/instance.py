@@ -11,7 +11,7 @@ element -> sets adjacency once (Algorithm 4's links).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.exceptions import SetCoverError, UncoverableError

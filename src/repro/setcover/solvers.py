@@ -49,7 +49,7 @@ from repro.setcover.result import Cover
 Solver = Callable[[SetCoverInstance], Cover]
 
 #: Valid solver-engine spellings (config ``runtime.solver_engine``,
-#: CLI ``--solver-engine``), mirroring the detection-engine switch.
+#: CLI ``--solver-engine``).
 SOLVER_ENGINES = ("auto", "flat", "object")
 
 
@@ -169,12 +169,13 @@ FLAT_SOLVERS: Mapping[str, Solver] = {
 DEFAULT_SOLVER = "modified-greedy"
 
 
-def get_solver(name: str | Solver, engine: str = "object") -> Solver:
+def get_solver(name: str | Solver, engine: str = "auto") -> Solver:
     """Resolve a solver by registry name (or pass a callable through).
 
-    ``engine`` selects the implementation family: ``object`` (default,
-    the historical per-``WeightedSet`` solvers), ``flat`` (the CSR/bitset
-    core), or ``auto`` (currently ``flat``).  Callables pass through
+    ``engine`` selects the implementation family: ``auto`` (default,
+    currently ``flat``), ``flat`` (the CSR/bitset core), or ``object``
+    (the per-``WeightedSet`` reference solvers).  Both families return
+    byte-identical covers.  Callables pass through
     unchanged regardless of engine; names without a flat twin
     (``lp-rounding``) resolve to the object solver on every engine.
     """

@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable
 
-from repro.constraints.denial import DenialConstraint
 from repro.exceptions import BackendError
 from repro.model.instance import DatabaseInstance
 from repro.model.schema import Relation, Schema
 from repro.repair.result import RepairResult
 from repro.storage.base import ExportMode
-from repro.violations.detector import ViolationSet, find_all_violations
 
 
 def _parse_cell(relation: Relation, attribute_index: int, text: str):
@@ -98,14 +95,6 @@ class CsvBackend:
                 origin=lambda index: f"{path}:{line_numbers[index]}",
             )
         return instance
-
-    def find_violations(
-        self,
-        schema: Schema,
-        constraints: Iterable[DenialConstraint],
-    ) -> tuple[ViolationSet, ...]:
-        """In-memory detection over the loaded files."""
-        return find_all_violations(self.load_instance(schema), constraints)
 
     def export_repair(
         self,

@@ -80,15 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         "minimum tuple deletions (Section 5), or the combined mode",
     )
     parser.add_argument(
-        "--engine",
-        choices=["auto", "kernel", "interpreted", "pushdown"],
-        help="override the violation-detection engine: the columnar NumPy "
-        "kernel, the interpreted enumeration, the SQL pushdown engine "
-        "(runs the violation queries inside a SQL source backend), or "
-        "auto (pushdown for backend-resident instances, else kernel when "
-        "NumPy is available; results are identical in every case)",
-    )
-    parser.add_argument(
         "--solver-engine",
         choices=["auto", "flat", "object"],
         help="override the set-cover solver engine: the flat CSR/bitset "
@@ -178,8 +169,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             overrides["metric"] = args.metric
         if args.semantics:
             overrides["repair_semantics"] = args.semantics
-        if args.engine:
-            overrides["detection_engine"] = args.engine
         if args.solver_engine:
             overrides["solver_engine"] = args.solver_engine
         if args.stream or args.max_pending is not None or args.commit_interval is not None:
@@ -832,7 +821,6 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
             params = {
                 "algorithm": config.algorithm,
                 "metric": config.metric,
-                "engine": config.detection_engine,
                 "solver_engine": config.solver_engine,
             }
             def job_source(i: int):

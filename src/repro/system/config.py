@@ -24,8 +24,7 @@ into text file)."*  We use JSON::
       ],
       "algorithm": "modified-greedy",
       "metric": "l1",
-      "violation_detection": "memory",
-      "runtime": {"engine": "auto", "solver_engine": "auto"},
+      "runtime": {"solver_engine": "auto"},
       "source": {"backend": "sqlite", "path": "clients.db"},
       "export": {"mode": "update"}
     }
@@ -33,13 +32,13 @@ into text file)."*  We use JSON::
 ``source.backend`` is ``sqlite`` or ``duckdb`` (with ``path``), ``csv``
 (with ``directory``), or ``memory`` (with inline ``rows``);
 ``export.mode`` is ``update`` / ``insert`` / ``dump`` (the latter with
-``destination``).  The optional ``runtime`` block picks the
-violation-detection ``engine`` (``auto`` / ``kernel`` / ``interpreted`` /
-``pushdown``, see :mod:`repro.violations.kernels`) and the set-cover
-``solver_engine`` (``auto`` / ``flat`` / ``object``); both default to
-``auto``, and the detection ``auto`` resolves to ``pushdown`` for
-instances loaded from a SQL source backend.  The pipeline itself is
-always serial.
+``destination``).  The optional ``runtime`` block picks the set-cover
+``solver_engine`` (``auto`` / ``flat`` / ``object``, default ``auto``).
+Violation detection is not configurable: the detector picks its engine
+per constraint (SQL pushdown for instances loaded from a SQL source
+backend, else the NumPy kernel when importable, else the interpreted
+enumeration; see :mod:`repro.violations.detector`).  The pipeline itself
+is always serial.
 
 Unknown keys at the top level and in the ``runtime``,
 ``runtime.streaming``, ``plan`` and ``service`` blocks are rejected with
@@ -92,10 +91,6 @@ from repro.fixes.distance import get_metric
 from repro.model.schema import Attribute, AttributeRole, Relation, Schema
 from repro.setcover.solvers import SOLVER_ENGINES, SOLVERS
 from repro.storage.base import ExportMode
-from repro.violations.kernels import ENGINES as _VALID_ENGINES
-
-_VALID_DETECTION = ("memory", "sql")
-
 
 _VALID_SEMANTICS = ("update", "delete", "mixed")
 
@@ -107,7 +102,6 @@ _TOP_LEVEL_KEYS = frozenset(
         "constraints",
         "algorithm",
         "metric",
-        "violation_detection",
         "source",
         "export",
         "repair_semantics",
@@ -119,7 +113,7 @@ _TOP_LEVEL_KEYS = frozenset(
     }
 )
 
-_RUNTIME_KEYS = frozenset({"engine", "solver_engine", "trace", "streaming"})
+_RUNTIME_KEYS = frozenset({"solver_engine", "trace", "streaming"})
 
 
 @dataclass(frozen=True)
@@ -130,22 +124,19 @@ class RepairConfig:
     repairs (``update``, Section 3), minimum-cardinality tuple deletions
     (``delete``, Section 5), and the conclusion's combined mode
     (``mixed``); ``table_weights`` sets the per-relation deletion weights
-    ``α_{δ_R}`` for the deletion-based modes.  ``detection_engine`` /
-    ``solver_engine`` configure the violation-detection engine and the
-    set-cover solver engine (the JSON ``runtime`` block).
+    ``α_{δ_R}`` for the deletion-based modes.  ``solver_engine``
+    configures the set-cover solver engine (the JSON ``runtime`` block).
     """
 
     schema: Schema
     constraints: tuple[DenialConstraint, ...]
     algorithm: str = "modified-greedy"
     metric: str = "l1"
-    violation_detection: str = "memory"
     source: Mapping[str, Any] = field(default_factory=dict)
     export_mode: ExportMode = ExportMode.UPDATE
     export_destination: str | None = None
     repair_semantics: str = "update"
     table_weights: Mapping[str, float] = field(default_factory=dict)
-    detection_engine: str = "auto"
     solver_engine: str = "auto"
     trace_enabled: bool = False
     trace_out: str | None = None
@@ -220,13 +211,6 @@ class RepairConfig:
         except Exception as error:
             raise ConfigError(str(error))
 
-        detection = data.get("violation_detection", "memory")
-        if detection not in _VALID_DETECTION:
-            raise ConfigError(
-                f"violation_detection must be one of {_VALID_DETECTION}, "
-                f"got {detection!r}"
-            )
-
         source = data.get("source", {"backend": "memory", "rows": {}})
         if not isinstance(source, Mapping) or "backend" not in source:
             raise ConfigError("source must be an object with a 'backend' key")
@@ -266,12 +250,6 @@ class RepairConfig:
         if not isinstance(runtime, Mapping):
             raise ConfigError("runtime must be an object")
         _reject_unknown("runtime", runtime, _RUNTIME_KEYS)
-        detection_engine = runtime.get("engine", "auto")
-        if detection_engine not in _VALID_ENGINES:
-            raise ConfigError(
-                f"runtime.engine must be one of {_VALID_ENGINES}, "
-                f"got {detection_engine!r}"
-            )
         solver_engine = runtime.get("solver_engine", "auto")
         if solver_engine not in SOLVER_ENGINES:
             raise ConfigError(
@@ -322,13 +300,11 @@ class RepairConfig:
             constraints=constraints,
             algorithm=algorithm,
             metric=metric,
-            violation_detection=detection,
             source=dict(source),
             export_mode=export_mode,
             export_destination=destination,
             repair_semantics=semantics,
             table_weights=dict(table_weights),
-            detection_engine=detection_engine,
             solver_engine=solver_engine,
             trace_enabled=trace_enabled,
             trace_out=trace_out,

@@ -5,8 +5,9 @@
 1. the *configuration parser* (:class:`RepairConfig`) has already read the
    schema, constraints, flexible attributes, and export mode;
 2. the *database connectivity* component opens the configured backend;
-3. the *mapping component* loads the data into main memory and builds the
-   MWSCP instance (Definition 3.1);
+3. the *mapping component* loads the data into main memory, detects the
+   violation sets (by the Algorithm-2 SQL inside a sqlite/DuckDB source,
+   in memory otherwise) and builds the MWSCP instance (Definition 3.1);
 4. the *MWSCP solver* runs the configured approximation algorithm;
 5. the mapping component reconstructs the repair and the chosen *export
    mode* persists it.
@@ -156,18 +157,11 @@ class RepairProgram:
         if self.config.streaming_enabled:
             return self._run_streaming(instance, export, plan, plan_note)
 
-        violations = None
-        if self.config.violation_detection == "sql":
-            violations = self.backend.find_violations(
-                self.config.schema, self.config.constraints
-            )
         result = repair_database(
             instance,
             self.config.constraints,
             algorithm=self.config.algorithm,
             metric=self.config.metric,
-            violations=violations,
-            engine=self.config.detection_engine,
             solver_engine=self.config.solver_engine,
             trace=self.config.trace_enabled,
             plan=plan,
@@ -220,7 +214,6 @@ class RepairProgram:
             trace=self.config.trace_enabled,
             algorithm=self.config.algorithm,
             metric=self.config.metric,
-            engine=self.config.detection_engine,
             solver_engine=self.config.solver_engine,
             plan=plan,
         )
@@ -270,7 +263,6 @@ class RepairProgram:
             mode=self.config.repair_semantics,      # "delete" | "mixed"
             table_weights=self.config.table_weights or None,
             metric=self.config.metric,
-            engine=self.config.detection_engine,
             solver_engine=self.config.solver_engine,
             trace=self.config.trace_enabled,
         )

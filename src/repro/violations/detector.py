@@ -29,6 +29,10 @@ this *interpreted* enumeration and the columnar *kernel* executor of
   Each fallback bumps the ``detect_engine_fallbacks{constraint,engine}``
   counter of an active tracer, ``engine`` naming the one that refused.
 
+The repair pipeline (``repair_database`` and everything built on it)
+always runs ``auto``; an explicit engine is for tests (the interpreted
+oracle, a strict engine that must not fall back) and benchmarks.
+
 All engines produce byte-identical results: each computes the same
 satisfying-assignment witness sets, which then flow through the same
 minimality reduction and deterministic ordering
@@ -599,6 +603,7 @@ def _violations_involving_constraint(
         except KernelError:
             if engine == "kernel":
                 raise
+            _count_fallback(constraint, "kernel")
         else:
             return _ordered_violation_sets(used_sets, constraint)
     used_sets = anchored_used_sets(instance, constraint, anchors, raw_indexes)
@@ -685,7 +690,8 @@ def is_consistent(
     The pushdown engine answers this with a ``LIMIT 1`` probe per
     constraint - the backend stops at the first witness row, so a
     consistent backend-resident database is verified without
-    materializing anything in Python.
+    materializing anything in Python.  Fallbacks under ``auto`` bump
+    ``detect_engine_fallbacks`` exactly as in :func:`find_violations`.
     """
     for constraint in constraints:
         resolved = resolve_engine(engine, instance)
@@ -697,6 +703,7 @@ def is_consistent(
             except PushdownError:
                 if engine == "pushdown":
                     raise
+                _count_fallback(constraint, "pushdown")
                 resolved = "kernel" if kernel_available() else "interpreted"
         if resolved == "kernel":
             try:
@@ -704,6 +711,7 @@ def is_consistent(
             except KernelError:
                 if engine == "kernel":
                     raise
+                _count_fallback(constraint, "kernel")
             else:
                 if count:
                     return False

@@ -38,7 +38,7 @@ from repro.constraints.plan import (
     compile_plan,
     order_atoms,
 )
-from repro.exceptions import ConfigError, ConstraintError, KernelError
+from repro.exceptions import ConfigError, KernelError
 from repro.model.columnar import (
     ColumnarRelation,
     kernel_available,

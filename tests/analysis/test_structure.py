@@ -1,11 +1,9 @@
 """Unit tests for conflict-structure analysis."""
 
-import pytest
-
 from repro import find_all_violations
 from repro.analysis.structure import analyze_structure, conflict_graph
-from repro.setcover.decompose import decompose
 from repro.repair import build_repair_problem
+from repro.setcover.decompose import decompose
 from repro.workloads import census_workload
 
 

@@ -1,7 +1,5 @@
 """Golden test: Example 5.4's full deletion-repair set."""
 
-import pytest
-
 from repro import is_consistent
 from repro.cardinality.engine import all_optimal_deletion_repairs
 

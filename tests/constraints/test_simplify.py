@@ -1,6 +1,5 @@
 """Unit + property tests for constraint simplification."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Attribute, DatabaseInstance, Relation, Schema, parse_denial

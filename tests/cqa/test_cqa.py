@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ConstraintParseError, ReproError
-from repro.cqa import ConjunctiveQuery, consistent_answers, parse_query
+from repro.cqa import consistent_answers, parse_query
 
 
 class TestParseQuery:

@@ -7,7 +7,6 @@ from repro import (
     EUCLIDEAN_DISTANCE,
     ZERO_ONE_DISTANCE,
     Attribute,
-    DatabaseInstance,
     InstanceError,
     Relation,
     ReproError,

@@ -2,7 +2,6 @@
 
 These target the seams between subsystems:
 
-* sqlite SQL-view detection == in-memory join detection on random data;
 * cardinality repairs: the δ round trip preserves non-deleted tuples, the
   result is consistent, and deletion counts are bounded sensibly;
 * a sequence of incremental commits ends consistent and equals batch
@@ -26,7 +25,6 @@ from repro import (
 )
 from repro.constraints.atoms import BuiltinAtom, Comparator, RelationAtom
 from repro.constraints.denial import DenialConstraint
-from repro.storage import SqliteBackend
 
 SCHEMA = Schema(
     [
@@ -77,18 +75,6 @@ def instances(draw):
         group = draw(st.integers(0, n_s - 1))
         instance.insert_row("R", (i, group, draw(st.integers(0, 20))))
     return instance
-
-
-@given(instances())
-@settings(max_examples=60, deadline=None)
-def test_sqlite_detection_matches_memory(instance):
-    in_memory = find_all_violations(instance, CONSTRAINTS)
-    with SqliteBackend.from_instance(instance) as backend:
-        from_sql = backend.find_violations(SCHEMA, CONSTRAINTS)
-    as_labels = lambda vs: {
-        (v.constraint.name, frozenset(t.ref for t in v)) for v in vs
-    }
-    assert as_labels(from_sql) == as_labels(in_memory)
 
 
 @given(instances())

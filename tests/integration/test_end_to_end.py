@@ -59,10 +59,8 @@ class TestSqliteRoundTrips:
 
         with SqliteBackend(path) as backend:
             instance = backend.load_instance(workload.schema)
-            violations = backend.find_violations(workload.schema, workload.constraints)
-            result = repair_database(
-                instance, workload.constraints, violations=violations
-            )
+            result = repair_database(instance, workload.constraints)
+            assert result.solver_stats["detection_engine"] == "pushdown"
             backend.export_repair(result, ExportMode.UPDATE)
 
         with SqliteBackend(path) as backend:

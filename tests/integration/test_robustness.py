@@ -114,7 +114,7 @@ class TestSqliteFailureInjection:
     def test_violation_query_on_missing_table(self, paper):
         backend = SqliteBackend()        # no tables created
         with pytest.raises(BackendError):
-            backend.find_violations(paper.schema, paper.constraints)
+            backend.load_instance(paper.schema)
 
     def test_export_after_close(self, paper):
         backend = SqliteBackend.from_instance(paper.instance)

@@ -3,7 +3,8 @@
 The observability layer's core promise is that it only *observes* -
 ``repair_database(..., trace=True)`` returns the byte-identical repair
 (same changes, same cover, same serialized form) as the untraced call,
-for every approximation algorithm and both detection engines.
+for every approximation algorithm, and a traced detector call returns
+the untraced violation sets on both in-memory detection engines.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import json
 
 import pytest
 
-from repro import repair_database
+from repro import find_all_violations, repair_database
 from repro.model import kernel_available
+from repro.obs import Tracer
 from repro.repair.serialize import change_to_dict
 
 APPROXIMATIONS = ["greedy", "modified-greedy", "layer", "modified-layer"]
@@ -38,16 +40,18 @@ def _comparable(result):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("algorithm", APPROXIMATIONS)
 def test_traced_run_is_byte_identical(small_clientbuy, algorithm, engine):
-    kwargs = dict(algorithm=algorithm, engine=engine)
-    untraced = repair_database(
-        small_clientbuy.instance, small_clientbuy.constraints, **kwargs
-    )
-    traced = repair_database(
-        small_clientbuy.instance,
-        small_clientbuy.constraints,
-        trace=True,
-        **kwargs,
-    )
+    instance, constraints = small_clientbuy.instance, small_clientbuy.constraints
+    # The pipeline picks its detection engine, so a forced engine is
+    # checked at the detector level.
+    untraced_violations = find_all_violations(instance, constraints, engine=engine)
+    tracer = Tracer()
+    with tracer.activate():
+        traced_violations = find_all_violations(instance, constraints, engine=engine)
+    assert len(tracer.finish()) > 0
+    assert traced_violations == untraced_violations
+
+    untraced = repair_database(instance, constraints, algorithm=algorithm)
+    traced = repair_database(instance, constraints, algorithm=algorithm, trace=True)
     assert untraced.trace is None
     assert traced.trace is not None and len(traced.trace) > 0
     assert _comparable(traced) == _comparable(untraced)

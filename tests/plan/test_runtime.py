@@ -19,7 +19,7 @@ from repro.obs.trace import Tracer
 from repro.plan import compile_program
 from repro.service import JobRequest, run_jobs
 from repro.storage import SqliteBackend
-from repro.violations.detector import find_all_violations
+from repro.violations.detector import find_all_violations, is_consistent
 from repro.workloads.clientbuy import CLIENT_BUY_CONSTRAINTS, client_buy_workload
 
 #: Dead (``id < 10`` and ``id > 20``), yet local: the ``a < 18`` bound
@@ -71,11 +71,11 @@ def _refusing_kernel(monkeypatch) -> None:
     import repro.violations.detector as detector
     import repro.violations.kernels as kernels
 
-    def refuse(instance, constraint, max_violations):
+    def refuse(instance, constraint):
         raise KernelError("synthetic refusal")
 
     monkeypatch.setattr(kernels, "kernel_available", lambda: True)
-    monkeypatch.setattr(detector, "_kernel_used_sets", refuse)
+    monkeypatch.setattr(detector, "kernel_witnesses", refuse)
 
 
 class TestPlannedFindViolations:
@@ -93,12 +93,11 @@ class TestPlannedFindViolations:
         self, workload, monkeypatch
     ):
         """A kernel refusal under ``auto`` falls through to the
-        interpreted engine and lands on ``detect_engine_fallbacks``,
-        identically for planned and unplanned runs."""
+        interpreted engine and lands on ``detect_engine_fallbacks`` - once
+        in detect and once in verify per constraint - identically for
+        planned and unplanned runs."""
+        expected = repair_database(workload.instance, workload.constraints)
         _refusing_kernel(monkeypatch)
-        expected = repair_database(
-            workload.instance, workload.constraints, engine="interpreted"
-        )
         program = compile_program(workload.schema, workload.constraints)
         for plan in (None, program):
             tracer = Tracer()
@@ -106,8 +105,25 @@ class TestPlannedFindViolations:
                 workload.instance, workload.constraints, plan=plan, trace=tracer
             )
             assert result.changes == expected.changes
-            assert _fallbacks(tracer, "kernel") == {"ic1": 1, "ic2": 1}
+            assert _fallbacks(tracer, "kernel") == {"ic1": 2, "ic2": 2}
             assert _fallbacks(tracer, "pushdown") == {}
+
+    def test_verify_refusal_is_recorded(self, workload, monkeypatch):
+        """Verification counts its fallbacks like detection does: with the
+        violations supplied, every recorded fallback is verify's own."""
+        violations = find_all_violations(workload.instance, workload.constraints)
+        expected = repair_database(workload.instance, workload.constraints)
+        _refusing_kernel(monkeypatch)
+        tracer = Tracer()
+        result = repair_database(
+            workload.instance,
+            workload.constraints,
+            violations=violations,
+            trace=tracer,
+        )
+        assert result.verified
+        assert result.changes == expected.changes
+        assert _fallbacks(tracer, "kernel") == {"ic1": 1, "ic2": 1}
 
     @pytest.mark.parametrize("planned", [False, True], ids=["unplanned", "planned"])
     def test_pushdown_refusal_is_recorded(self, workload, monkeypatch, planned):
@@ -135,15 +151,37 @@ class TestPlannedFindViolations:
         assert result.changes == expected.changes
         assert _fallbacks(tracer, "pushdown") == {"ic1": 1, "ic2": 1}
 
+    def test_consistency_probe_refusal_is_recorded(self, workload, monkeypatch):
+        """A pushdown refusal in ``is_consistent`` falls back in memory
+        and is counted, like a refusal in detection."""
+        import repro.violations.detector as detector
+
+        def refuse(instance, constraint):
+            raise PushdownError("synthetic refusal")
+
+        monkeypatch.setattr(detector, "pushdown_has_witness", refuse)
+        with SqliteBackend.from_instance(workload.instance) as backend:
+            resident = backend.load_instance(workload.schema)
+            tracer = Tracer()
+            with tracer.activate():
+                consistent = is_consistent(resident, workload.constraints)
+        assert not consistent
+        # ic1 already has a witness in memory, so the probe stops there.
+        assert _fallbacks(tracer, "pushdown") == {"ic1": 1}
+
     def test_last_engine_refusal_propagates(self, workload, monkeypatch):
         """Only ``auto`` absorbs refusals; an explicitly requested
         engine's refusal is a real error, plan or not."""
         _refusing_kernel(monkeypatch)
         program = compile_program(workload.schema, workload.constraints)
-        with pytest.raises(KernelError):
-            repair_database(
-                workload.instance, workload.constraints, plan=program, engine="kernel"
-            )
+        for constraints in (
+            workload.constraints,
+            program.executed_constraints(workload.constraints),
+        ):
+            with pytest.raises(KernelError):
+                find_all_violations(workload.instance, constraints, engine="kernel")
+            with pytest.raises(KernelError):
+                is_consistent(workload.instance, constraints, engine="kernel")
 
 
 class TestPlannedFindAll:

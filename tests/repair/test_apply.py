@@ -1,8 +1,6 @@
 """Unit tests for cover -> repair construction (Definition 3.2)."""
 
-import pytest
-
-from repro import build_repair_problem, is_consistent, parse_denials
+from repro import build_repair_problem, is_consistent
 from repro.repair.apply import apply_cover, merge_cover_fixes
 from repro.setcover import exact_cover, greedy_cover
 from repro.setcover.result import Cover

@@ -4,8 +4,8 @@ import pytest
 
 from repro import SetCoverError, database_delta, is_consistent
 from repro.repair.enumerate import all_optimal_repairs
-from repro.setcover.enumerate import enumerate_optimal_covers
 from repro.setcover import SetCoverInstance, exact_cover, is_cover
+from repro.setcover.enumerate import enumerate_optimal_covers
 
 
 class TestEnumerateCovers:

@@ -4,7 +4,6 @@ import pytest
 
 from repro import IncrementalRepairer, RepairError, is_consistent
 from repro.violations.detector import find_violations_involving
-from repro.workloads import client_buy_workload
 
 
 @pytest.fixture

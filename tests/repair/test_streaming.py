@@ -5,7 +5,7 @@ The invariants under test, in the order the issue states them:
 * coalescing never changes the committed result - any interleaving of
   submits and round boundaries lands on the same final instance as the
   cold batch repair of the same logical operations (fuzzed by
-  hypothesis across detection and solver engines);
+  hypothesis across solver engines);
 * backpressure is deterministic and never silently drops an operation:
   the ``"error"`` policy raises :class:`BackpressureError` *without*
   enqueuing, the ``"block"`` policy drains a round and then admits;
@@ -33,7 +33,6 @@ from repro import (
     repair_database,
 )
 from repro.exceptions import RuntimeConfigError
-from repro.workloads import client_buy_workload
 
 
 def one_relation_setup(rows):
@@ -268,7 +267,7 @@ class TestRounds:
         assert [child.name for child in round_span.children] == ["commit"]
 
 
-# -- fuzzed parity: streamed == cold batch, across engines --------------------
+# -- fuzzed parity: streamed == cold batch, across solver engines -------------
 
 _OPS = st.lists(
     st.tuples(
@@ -280,21 +279,14 @@ _OPS = st.lists(
     max_size=25,
 )
 
-_ENGINES = [
-    ("auto", "auto"),
-    ("interpreted", "flat"),
-    ("interpreted", "object"),
-]
-
-
-@pytest.mark.parametrize("engine,solver_engine", _ENGINES)
+@pytest.mark.parametrize("solver_engine", ["auto", "flat", "object"])
 @settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(ops=_OPS, commit_interval=st.integers(min_value=1, max_value=8))
-def test_streamed_equals_cold_batch(ops, commit_interval, engine, solver_engine):
+def test_streamed_equals_cold_batch(ops, commit_interval, solver_engine):
     """Round boundaries never change the repair (single-tuple fix regime).
 
     A random op stream over ``R`` with ``NOT(R(id, a), a > 100)`` is fed
@@ -307,7 +299,6 @@ def test_streamed_equals_cold_batch(ops, commit_interval, engine, solver_engine)
         instance,
         constraints,
         commit_interval=commit_interval,
-        engine=engine,
         solver_engine=solver_engine,
     )
     # ``model`` tracks the logical (pre-repair) state so generated ops
@@ -330,7 +321,7 @@ def test_streamed_equals_cold_batch(ops, commit_interval, engine, solver_engine)
 
     reference, _ = one_relation_setup(sorted(model.items()))
     expected = repair_database(
-        reference, constraints, engine=engine, solver_engine=solver_engine
+        reference, constraints, solver_engine=solver_engine
     ).repaired
     assert streamer.instance == expected
     assert is_consistent(streamer.instance, constraints)

@@ -43,7 +43,6 @@ param_sets = st.fixed_dictionaries(
     optional={
         "algorithm": st.sampled_from(["greedy", "layer"]),
         "solver_engine": st.sampled_from(["auto", "flat", "object"]),
-        "engine": st.sampled_from(["auto", "interpreted"]),
         "simplify": st.just(True),
     },
 )

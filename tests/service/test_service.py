@@ -111,6 +111,14 @@ class TestLifecycle:
                         parallel="thread",
                         max_workers=2,
                     )
+                # So is the retired detection-engine knob: the detector
+                # picks its engine itself.
+                with pytest.raises(ServiceError, match="unknown job parameter"):
+                    await service.submit(
+                        workload.instance,
+                        tuple(workload.constraints),
+                        engine="interpreted",
+                    )
 
         asyncio.run(scenario())
 

@@ -236,7 +236,7 @@ class TestDecomposedParity:
         instance = SetCoverInstance.from_collections(
             4, [(1.0, [0, 1]), (2.0, [2, 3]), (1.5, [2]), (1.5, [3])]
         )
-        obj = get_solver("exact-decomposed")(instance)
+        obj = get_solver("exact-decomposed", engine="object")(instance)
         flat = get_solver("exact-decomposed", engine="flat")(instance)
         assert flat.selected == obj.selected
         assert flat.weight == obj.weight
@@ -254,7 +254,7 @@ class TestEngineRegistry:
             resolve_solver_engine("vectorized")
 
     def test_get_solver_engine_switch(self):
-        assert get_solver("greedy") is greedy_cover
+        assert get_solver("greedy") is flat_greedy_cover
         assert get_solver("greedy", engine="object") is greedy_cover
         assert get_solver("greedy", engine="flat") is flat_greedy_cover
         assert get_solver("greedy", engine="auto") is flat_greedy_cover
@@ -264,7 +264,7 @@ class TestEngineRegistry:
 
     def test_lp_rounding_falls_back_to_object(self):
         assert get_solver("lp-rounding", engine="flat") is get_solver(
-            "lp-rounding"
+            "lp-rounding", engine="object"
         )
 
     def test_callable_passes_through_any_engine(self):

@@ -1,7 +1,5 @@
 """Unit tests for cover minimization (redundancy pruning)."""
 
-import pytest
-
 from repro.setcover import (
     SetCoverInstance,
     exact_cover,

@@ -249,7 +249,7 @@ class TestRegistry:
         }
 
     def test_get_solver_by_name(self):
-        assert get_solver("GREEDY") is greedy_cover
+        assert get_solver("GREEDY", engine="object") is greedy_cover
 
     def test_get_solver_passthrough(self):
         assert get_solver(greedy_cover) is greedy_cover

@@ -77,7 +77,10 @@ class TestBackend:
             workload.instance, workload.constraints, engine="interpreted"
         )
         with DuckDBBackend.from_instance(workload.instance) as backend:
-            from_sql = backend.find_violations(workload.schema, workload.constraints)
+            loaded = backend.load_instance(workload.schema)
+            from_sql = find_all_violations(
+                loaded, workload.constraints, engine="pushdown"
+            )
         as_labels = lambda vs: {
             (v.constraint.name, frozenset(t.ref for t in v)) for v in vs
         }
@@ -107,7 +110,8 @@ class TestBackend:
     def test_repair_and_update_export(self, workload):
         with DuckDBBackend.from_instance(workload.instance) as backend:
             loaded = backend.load_instance(workload.schema)
-            result = repair_database(loaded, workload.constraints, engine="pushdown")
+            result = repair_database(loaded, workload.constraints)
+            assert result.solver_stats["detection_engine"] == "pushdown"
             assert result.verified
             backend.export_repair(result, ExportMode.UPDATE)
             reloaded = backend.load_instance(workload.schema)
@@ -116,7 +120,7 @@ class TestBackend:
     def test_insert_new_export(self, workload):
         with DuckDBBackend.from_instance(workload.instance) as backend:
             loaded = backend.load_instance(workload.schema)
-            result = repair_database(loaded, workload.constraints, engine="pushdown")
+            result = repair_database(loaded, workload.constraints)
             backend.export_repair(result, ExportMode.INSERT_NEW)
             (count,) = backend.execute("SELECT COUNT(*) FROM Client_repaired")[0]
             assert count == workload.instance.count("Client")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import BackendError, repair_database
+from repro import BackendError, find_all_violations, is_consistent, repair_database
 from repro.storage import ExportMode, MemoryBackend
 
 
@@ -27,8 +27,8 @@ class TestMemoryBackend:
 
     def test_find_violations(self, paper):
         backend = MemoryBackend(paper.instance)
-        violations = backend.find_violations(paper.schema, paper.constraints)
-        assert len(violations) == 3
+        loaded = backend.load_instance(paper.schema)
+        assert len(find_all_violations(loaded, paper.constraints)) == 3
 
     def test_export_update_replaces_instance(self, paper):
         backend = MemoryBackend(paper.instance)
@@ -36,7 +36,7 @@ class TestMemoryBackend:
         note = backend.export_repair(result, ExportMode.UPDATE)
         assert "updated" in note
         assert backend.instance == result.repaired
-        assert backend.find_violations(paper.schema, paper.constraints) == ()
+        assert is_consistent(backend.load_instance(paper.schema), paper.constraints)
 
     def test_export_insert_records_copy(self, paper):
         backend = MemoryBackend(paper.instance)

@@ -58,9 +58,15 @@ class TestRoundTrip:
             backend.load_instance(paper.schema)
 
 
+def _sql_violations(backend, schema, constraints):
+    """``I(D, IC)`` from the Algorithm-2 SQL run inside ``backend``."""
+    loaded = backend.load_instance(schema)
+    return find_all_violations(loaded, constraints, engine="pushdown")
+
+
 class TestSqlViolationDetection:
     def test_matches_in_memory_detector(self, paper_pub, backend):
-        from_sql = backend.find_violations(paper_pub.schema, paper_pub.constraints)
+        from_sql = _sql_violations(backend, paper_pub.schema, paper_pub.constraints)
         in_memory = find_all_violations(paper_pub.instance, paper_pub.constraints)
         assert len(from_sql) == len(in_memory) == 4
         as_labels = lambda vs: {
@@ -71,7 +77,9 @@ class TestSqlViolationDetection:
     def test_matches_on_random_workload(self):
         workload = client_buy_workload(30, inconsistency_ratio=0.5, seed=4)
         with SqliteBackend.from_instance(workload.instance) as backend:
-            from_sql = backend.find_violations(workload.schema, workload.constraints)
+            from_sql = _sql_violations(
+                backend, workload.schema, workload.constraints
+            )
         in_memory = find_all_violations(workload.instance, workload.constraints)
         as_labels = lambda vs: {
             (v.constraint.name, frozenset(t.ref for t in v)) for v in vs
@@ -85,7 +93,7 @@ class TestSqlViolationDetection:
             paper.schema, {"Paper": [("E3", 1, 70, 1)]}
         )
         with SqliteBackend.from_instance(consistent) as backend:
-            assert backend.find_violations(paper.schema, paper.constraints) == ()
+            assert _sql_violations(backend, paper.schema, paper.constraints) == ()
 
 
 class TestExports:
@@ -94,7 +102,9 @@ class TestExports:
         note = backend.export_repair(result, ExportMode.UPDATE)
         assert "rows in place" in note
         assert backend.load_instance(paper_pub.schema) == result.repaired
-        assert backend.find_violations(paper_pub.schema, paper_pub.constraints) == ()
+        assert (
+            _sql_violations(backend, paper_pub.schema, paper_pub.constraints) == ()
+        )
 
     def test_insert_new_tables(self, paper_pub, backend):
         result = repair_database(paper_pub.instance, paper_pub.constraints)

@@ -82,7 +82,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "typo",
-        [{"algoritm": "layer"}, {"runtime": {"engin": "kernel", "bakend": "process"}}],
+        [
+            {"algoritm": "layer"},
+            {"runtime": {"engin": "kernel", "bakend": "process"}},
+            # retired keys: the detector picks its own engine
+            {"violation_detection": "sql"},
+            {"runtime": {"engine": "pushdown"}},
+        ],
     )
     def test_unknown_config_keys_fail(self, config_path, capsys, typo):
         with open(config_path) as handle:
@@ -107,9 +113,10 @@ class TestCli:
             main([config_path, "--solver-engine", "vectorized"])
 
     def test_engine_rejects_unknown(self, config_path, capsys):
+        # The detector picks its engine; there is no --engine flag.
         with pytest.raises(SystemExit):
-            main([config_path, "--engine", "vectorized"])
-        assert "pushdown" in capsys.readouterr().err
+            main([config_path, "--engine", "pushdown"])
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_pushdown_engine_over_sqlite_source(self, tmp_path, capsys):
         from repro.storage import SqliteBackend
@@ -146,8 +153,12 @@ class TestCli:
         }
         config = tmp_path / "pushdown.json"
         config.write_text(json.dumps(data))
-        assert main([str(config), "--engine", "pushdown", "--dry-run"]) == 0
-        assert "verified D'|=IC  : True" in capsys.readouterr().out
+        # A sqlite source loads a backend-resident instance, so detection
+        # pushes down without being asked to.
+        assert main([str(config), "--trace", "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert "verified D'|=IC  : True" in out
+        assert "engine=pushdown" in out
 
 
 class TestStreamingCli:

@@ -70,7 +70,8 @@ class TestValidation:
             (lambda d: d.update(constraints=[]), "constraints"),
             (lambda d: d.update(algorithm="quantum"), "algorithm"),
             (lambda d: d.update(metric="hamming"), "metric"),
-            (lambda d: d.update(violation_detection="psychic"), "violation_detection"),
+            # retired: detection is the detector's own choice
+            (lambda d: d.update(violation_detection="sql"), "violation_detection"),
             (lambda d: d.update(source={"backend": "oracle"}), "backend"),
             (lambda d: d.update(source={"backend": "sqlite"}), "path"),
             (lambda d: d.update(export={"mode": "teleport"}), "mode"),
@@ -134,7 +135,9 @@ class TestRuntimeBlock:
             ({"max_workers": "four"}, "max_workers"),
             ({"solver_engine": "vectorized"}, "solver_engine"),
             ("process", "runtime"),
-            ({"engin": "kernel", "bakend": "process"}, "unknown runtime key.*'engine'"),
+            # retired: the detection engine is not configurable
+            ({"engine": "kernel"}, "unknown runtime key.*'engine'"),
+            ({"engin": "kernel", "bakend": "process"}, "unknown runtime key.*'solver_engine'"),
         ],
     )
     def test_bad_runtime_rejected(self, runtime, message):
@@ -150,20 +153,6 @@ class TestRuntimeBlock:
         assert RepairConfig.from_dict(data).solver_engine == "object"
         data["runtime"] = {"solver_engine": "flat"}
         assert RepairConfig.from_dict(data).solver_engine == "flat"
-
-    def test_detection_engine_parsed(self):
-        data = minimal_config()
-        assert RepairConfig.from_dict(data).detection_engine == "auto"
-        for engine in ("kernel", "interpreted", "pushdown"):
-            data["runtime"] = {"engine": engine}
-            assert RepairConfig.from_dict(data).detection_engine == engine
-
-    def test_unknown_detection_engine_rejected(self):
-        data = minimal_config()
-        data["runtime"] = {"engine": "vectorized"}
-        with pytest.raises(ConfigError, match="pushdown") as exc:
-            RepairConfig.from_dict(data)
-        assert "runtime.engine" in str(exc.value)
 
 
 class TestStreamingBlock:

@@ -1,8 +1,10 @@
 """Unit tests for the Figure-1 pipeline (RepairProgram)."""
 
+import sqlite3
+
 import pytest
 
-from repro import is_consistent
+from repro import find_all_violations, is_consistent
 from repro.storage import SqliteBackend
 from repro.system import RepairConfig, RepairProgram
 from repro.workloads import client_buy_workload
@@ -89,7 +91,6 @@ class TestSqlitePipeline:
             {
                 "schema": CLIENT_BUY_SCHEMA,
                 "constraints": CLIENT_BUY_ICS,
-                "violation_detection": "sql",
                 "source": {"backend": "sqlite", "path": str(path)},
                 "export": {"mode": "update"},
             }
@@ -99,26 +100,68 @@ class TestSqlitePipeline:
         program = RepairProgram(sqlite_config)
         report = program.run()
         assert report.result.verified
+        # The loaded instance is backend-resident: detection ran as SQL.
+        assert report.result.solver_stats["detection_engine"] == "pushdown"
         with SqliteBackend(sqlite_config.source["path"]) as check:
-            assert (
-                check.find_violations(
-                    sqlite_config.schema, sqlite_config.constraints
-                )
-                == ()
+            exported = check.load_instance(sqlite_config.schema)
+            assert is_consistent(
+                exported, sqlite_config.constraints, engine="pushdown"
             )
 
     def test_sql_and_memory_detection_agree(self, sqlite_config):
         program = RepairProgram(sqlite_config)
         instance = program.load()
-        sql_violations = program.backend.find_violations(
-            sqlite_config.schema, sqlite_config.constraints
+        sql_violations = find_all_violations(
+            instance, sqlite_config.constraints, engine="pushdown"
         )
-        from repro import find_all_violations
-
         memory_violations = find_all_violations(
-            instance, sqlite_config.constraints
+            instance, sqlite_config.constraints, engine="interpreted"
         )
-        assert len(sql_violations) == len(memory_violations)
+        assert sql_violations
+        assert sql_violations == memory_violations
+
+    def test_null_join_column_finds_every_violation(self, tmp_path):
+        """SQL's ``NULL = NULL`` is not true; the repair must still see the
+        violation Python's ``None == None`` makes (pushdown refuses the
+        constraint and detection falls back in memory)."""
+        schema = {
+            "relations": [
+                {
+                    "name": name,
+                    "key": ["k"],
+                    "attributes": [{"name": "k"}, {"name": "g"}, attribute],
+                }
+                for name, attribute in (
+                    ("R", {"name": "x", "flexible": True}),
+                    ("S", {"name": "y", "flexible": True}),
+                )
+            ]
+        }
+        path = tmp_path / "nulls.db"
+        with sqlite3.connect(path) as connection:
+            connection.execute("CREATE TABLE R (k, g, x INTEGER, PRIMARY KEY (k))")
+            connection.execute("CREATE TABLE S (k, g, y INTEGER, PRIMARY KEY (k))")
+            connection.executemany(
+                "INSERT INTO R VALUES (?, ?, ?)", [(1, 1, 3), (2, None, 4)]
+            )
+            connection.executemany(
+                "INSERT INTO S VALUES (?, ?, ?)", [(1, 1, 8), (2, None, 9)]
+            )
+        config = RepairConfig.from_dict(
+            {
+                "schema": schema,
+                "constraints": ["ic: NOT(R(k, g, x), S(k2, g, y), x < 10, y > 5)"],
+                "source": {"backend": "sqlite", "path": str(path)},
+            }
+        )
+        program = RepairProgram(config)
+        try:
+            report = program.run(export=False)
+        finally:
+            program.backend.close()
+        assert report.result.violations_before == 2
+        assert report.result.verified
+        assert is_consistent(report.result.repaired, config.constraints)
 
 
 class TestLintPreflight:

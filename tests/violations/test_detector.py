@@ -12,7 +12,6 @@ from repro import (
     find_violations,
     is_consistent,
     parse_denial,
-    parse_denials,
 )
 from repro.violations import violations_of_tuple
 

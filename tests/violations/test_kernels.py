@@ -214,6 +214,19 @@ class TestEquivalenceProperties:
         )
 
 
+def _repair_from(workload, engine: str, algorithm: str):
+    """Repair from the violation sets one detection engine found."""
+    violations = find_all_violations(
+        workload.instance, workload.constraints, engine=engine
+    )
+    return repair_database(
+        workload.instance,
+        workload.constraints,
+        algorithm=algorithm,
+        violations=violations,
+    )
+
+
 class TestRepairParity:
     """Identical repairs from both engines across the solver matrix."""
 
@@ -222,16 +235,8 @@ class TestRepairParity:
     )
     def test_approximate_solvers(self, algorithm):
         workload = client_buy_workload(60, seed=9)
-        results = {
-            engine: repair_database(
-                workload.instance,
-                workload.constraints,
-                algorithm=algorithm,
-                engine=engine,
-            )
-            for engine in ("interpreted", "kernel")
-        }
-        a, b = results["interpreted"], results["kernel"]
+        a = _repair_from(workload, "interpreted", algorithm)
+        b = _repair_from(workload, "kernel", algorithm)
         assert a.changes == b.changes
         assert a.cover_weight == b.cover_weight
         assert a.distance == b.distance
@@ -240,13 +245,7 @@ class TestRepairParity:
 
     def test_exact_solver(self):
         workload = client_buy_workload(8, seed=12)
-        a = repair_database(
-            workload.instance, workload.constraints, algorithm="exact",
-            engine="interpreted",
-        )
-        b = repair_database(
-            workload.instance, workload.constraints, algorithm="exact",
-            engine="kernel",
-        )
+        a = _repair_from(workload, "interpreted", "exact")
+        b = _repair_from(workload, "kernel", "exact")
         assert a.changes == b.changes
         assert a.repaired == b.repaired

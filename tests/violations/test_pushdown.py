@@ -12,12 +12,7 @@ from repro import DatabaseInstance, parse_denial, repair_database
 from repro.exceptions import ConfigError, ConstraintError, PushdownError
 from repro.model.schema import Attribute, Relation, Schema
 from repro.storage import SqliteBackend
-from repro.violations import (
-    bind_backend,
-    bound_backend,
-    pushdown_ready,
-    unbind_backend,
-)
+from repro.violations import bound_backend, pushdown_ready, unbind_backend
 from repro.violations.detector import (
     find_all_violations,
     find_violations,
@@ -187,17 +182,18 @@ class TestObservability:
 class TestRepairEndToEnd:
     def test_repair_with_pushdown_engine(self, resident, workload):
         _, loaded = resident
-        result = repair_database(loaded, workload.constraints, engine="pushdown")
-        baseline = repair_database(
-            workload.instance, workload.constraints, engine="interpreted"
-        )
-        assert result.verified  # verify stage downgraded to auto, not strict
+        result = repair_database(loaded, workload.constraints)
+        baseline = repair_database(workload.instance, workload.constraints)
+        # Detection pushes down; verify runs in memory on the fresh copy.
+        assert result.verified
         assert result.solver_stats["detection_engine"] == "pushdown"
+        assert baseline.solver_stats["detection_engine"] != "pushdown"
+        assert result.changes == baseline.changes
         assert result.distance == baseline.distance
 
     def test_repaired_copy_is_unbound(self, resident, workload):
         _, loaded = resident
-        result = repair_database(loaded, workload.constraints, engine="pushdown")
+        result = repair_database(loaded, workload.constraints)
         assert not pushdown_ready(result.repaired)
         assert pushdown_ready(loaded)  # repair never mutates its input
 

@@ -1,7 +1,5 @@
 """The TPC-H-like workload behind the pushdown benchmark."""
 
-import pytest
-
 from repro.violations.detector import find_all_violations, is_consistent
 from repro.workloads import tpch_like_schema, tpch_like_workload
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import is_local_set, inconsistency_profile
-from repro.violations.degree import degree_of_database
+from repro import inconsistency_profile, is_local_set
 from repro.violations import find_all_violations
+from repro.violations.degree import degree_of_database
 from repro.workloads import (
     census_workload,
     client_buy_workload,
